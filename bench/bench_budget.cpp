@@ -54,7 +54,7 @@ void BM_Budget_GovernedIdle_Triangle(benchmark::State& state) {
     budget.SetWallClockMs(3'600'000);
     budget.SetMaxDecisions(std::uint64_t{1} << 40);
     DpllCounter::Options options;
-    options.budget = &budget;
+    options.governance.budget = &budget;
     benchmark::DoNotOptimize(
         swfomc::grounding::GroundedWFOMCBounded(phi, vocab, n, options));
   }
@@ -77,7 +77,7 @@ void BM_Budget_AnytimeBounds_Triangle(benchmark::State& state) {
     Budget budget;
     budget.SetMaxDecisions(cap);
     DpllCounter::Options options;
-    options.budget = &budget;
+    options.governance.budget = &budget;
     benchmark::DoNotOptimize(
         swfomc::grounding::GroundedWFOMCBounded(phi, vocab, n, options));
   }

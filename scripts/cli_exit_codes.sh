@@ -139,6 +139,13 @@ expect 2 "$bin" compile "$workdir/unliftable.model"   # grounded needs a domain
 printf 'sentence forall x R(x)\ndomain 2\n' > "$workdir/g.model"
 expect 0 "$bin" compile --method grounded --out-dir "$workdir/gnnf" "$workdir/g.model"
 expect 64 "$bin" eval --domain 2 "$workdir/gnnf/g.nnf" # grounded circuits fix n
+# A lifted circuit is valid for n >= 1 only: a liftable model pinned at
+# domain 0 compiles grounded and checks like `run` does.
+printf 'sentence forall x exists y S(x,y)\ndomain 0\nexpect 1\n' \
+  > "$workdir/empty.model"
+expect 0 "$bin" run --check "$workdir/empty.model"
+expect 0 "$bin" compile --check --out-dir "$workdir/empty-nnf" "$workdir/empty.model"
+expect 0 "$bin" eval --check "$workdir/empty-nnf/empty.nnf"
 
 # 0: the same checks, satisfied. Also exercises compile -> eval chaining.
 printf 'sentence forall x R(x)\ndomain 1\nexpect 1\n' > "$workdir/right.model"

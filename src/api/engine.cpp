@@ -111,34 +111,35 @@ class ScopedUnitWeights {
   logic::Vocabulary saved_;
 };
 
-// Maps the counter's outcome onto the API enum.
-Outcome FromCounterOutcome(wmc::DpllCounter::CountOutcome outcome) {
-  switch (outcome) {
-    case wmc::DpllCounter::CountOutcome::kExact: return Outcome::kExact;
-    case wmc::DpllCounter::CountOutcome::kBounds: return Outcome::kBounds;
-    case wmc::DpllCounter::CountOutcome::kAborted: return Outcome::kAborted;
-  }
-  return Outcome::kAborted;
+// The counter options of one grounded search issued by the engine: its
+// thread count, the call's governance, and the engine's observability
+// sinks tagged with the query's id.
+wmc::DpllCounter::Options CounterOptions(const Engine::Options& engine,
+                                         unsigned num_threads,
+                                         const runtime::Governance& governance,
+                                         std::uint64_t query_id) {
+  wmc::DpllCounter::Options options;
+  options.num_threads = num_threads;
+  options.governance = governance;
+  options.metrics = engine.metrics;
+  options.trace = engine.trace;
+  options.trace_query_id = query_id;
+  return options;
 }
 
-// The governance pointers one query runs under: each per-call override,
-// when non-null, shadows the engine-level option. Resolution happens once
-// at the query boundary so shared engine state is never mutated.
-struct Governance {
-  runtime::Budget* budget = nullptr;
-  runtime::CancelToken* cancel = nullptr;
-  runtime::FaultPoint* fault = nullptr;
-};
-
-Governance ResolveGovernance(const Engine::Options& engine_options,
-                             const QueryOptions& query_options) {
-  return Governance{
-      query_options.budget != nullptr ? query_options.budget
-                                      : engine_options.budget,
-      query_options.cancel != nullptr ? query_options.cancel
-                                      : engine_options.cancel,
-      query_options.fault != nullptr ? query_options.fault
-                                     : engine_options.fault};
+// Stores a grounded count into a Result or SweepPoint: the value when
+// exact, the certified bounds (value = lower) when bounded, neither when
+// aborted.
+template <typename Answer>
+void StoreCount(wmc::DpllCounter::CountResult counted, Answer* answer) {
+  answer->outcome = counted.outcome;
+  answer->stop_reason = counted.stop_reason;
+  if (counted.outcome == Outcome::kBounds) {
+    answer->bounds = BoundsResult{counted.value, std::move(counted.upper)};
+  }
+  if (counted.outcome != Outcome::kAborted) {
+    answer->value = std::move(counted.value);
+  }
 }
 
 // Method names as metric-name fragments ('-' is not a valid metric
@@ -207,15 +208,6 @@ const char* ToString(Method method) {
     case Method::kLiftedFO2: return "lifted-fo2";
     case Method::kGammaAcyclic: return "gamma-acyclic";
     case Method::kGrounded: return "grounded";
-  }
-  return "?";
-}
-
-const char* ToString(Outcome outcome) {
-  switch (outcome) {
-    case Outcome::kExact: return "exact";
-    case Outcome::kBounds: return "bounds";
-    case Outcome::kAborted: return "aborted";
   }
   return "?";
 }
@@ -309,14 +301,8 @@ RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
 }
 
 Engine::Result Engine::WFOMC(const logic::Formula& sentence,
-                             std::uint64_t domain_size, Method method) {
-  return WFOMC(sentence, domain_size, method, QueryOptions{});
-}
-
-Engine::Result Engine::WFOMC(const logic::Formula& sentence,
                              std::uint64_t domain_size, Method method,
-                             const QueryOptions& query_options) {
-  Governance governance = ResolveGovernance(options_, query_options);
+                             const runtime::Governance& governance) {
   if (method == Method::kAuto) method = Route(sentence);
   QueryScope scope(options_, "wfomc", method);
   scope.span.Num("n", domain_size);
@@ -334,29 +320,14 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
         return result;
       }
       case Method::kGrounded: {
-        wmc::DpllCounter::Options counter_options;
-        counter_options.num_threads = options_.num_threads;
-        counter_options.budget = governance.budget;
-        counter_options.cancel = governance.cancel;
-        counter_options.fault = governance.fault;
-        counter_options.metrics = options_.metrics;
-        counter_options.trace = options_.trace;
-        counter_options.trace_query_id = scope.query_id;
         wmc::DpllCounter::Stats stats;
-        wmc::DpllCounter::CountResult counted =
-            grounding::GroundedWFOMCBounded(sentence, vocabulary_,
-                                            domain_size, counter_options,
-                                            &stats);
+        StoreCount(grounding::GroundedWFOMCBounded(
+                       sentence, vocabulary_, domain_size,
+                       CounterOptions(options_, options_.num_threads,
+                                      governance, scope.query_id),
+                       &stats),
+                   &result);
         result.grounded_stats = stats;
-        result.outcome = FromCounterOutcome(counted.outcome);
-        result.stop_reason = counted.stop_reason;
-        if (result.outcome == Outcome::kBounds) {
-          result.bounds =
-              BoundsResult{counted.value, std::move(counted.upper)};
-          result.value = std::move(counted.value);
-        } else if (result.outcome == Outcome::kExact) {
-          result.value = std::move(counted.value);
-        }
         return result;
       }
       case Method::kAuto:
@@ -368,17 +339,9 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
   return result;
 }
 
-Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
-                                       std::uint64_t n_lo, std::uint64_t n_hi,
-                                       Method method) {
-  return WFOMCSweep(sentence, n_lo, n_hi, method, QueryOptions{});
-}
-
-Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
-                                       std::uint64_t n_lo, std::uint64_t n_hi,
-                                       Method method,
-                                       const QueryOptions& query_options) {
-  Governance governance = ResolveGovernance(options_, query_options);
+Engine::SweepResult Engine::WFOMCSweep(
+    const logic::Formula& sentence, std::uint64_t n_lo, std::uint64_t n_hi,
+    Method method, const runtime::Governance& governance) {
   if (n_lo > n_hi) {
     throw std::invalid_argument("Engine::WFOMCSweep: n_lo > n_hi");
   }
@@ -437,27 +400,11 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
       // regardless).
       auto count_point = [this, &sentence, &governance, &scope](
                              SweepPoint* point, unsigned point_threads) {
-        wmc::DpllCounter::Options counter_options;
-        counter_options.num_threads = point_threads;
-        counter_options.budget = governance.budget;
-        counter_options.cancel = governance.cancel;
-        counter_options.fault = governance.fault;
-        counter_options.metrics = options_.metrics;
-        counter_options.trace = options_.trace;
-        counter_options.trace_query_id = scope.query_id;
-        wmc::DpllCounter::CountResult counted =
-            grounding::GroundedWFOMCBounded(sentence, vocabulary_,
-                                            point->domain_size,
-                                            counter_options);
-        point->outcome = FromCounterOutcome(counted.outcome);
-        point->stop_reason = counted.stop_reason;
-        if (point->outcome == Outcome::kBounds) {
-          point->bounds =
-              BoundsResult{counted.value, std::move(counted.upper)};
-          point->value = std::move(counted.value);
-        } else if (point->outcome == Outcome::kExact) {
-          point->value = std::move(counted.value);
-        }
+        StoreCount(grounding::GroundedWFOMCBounded(
+                       sentence, vocabulary_, point->domain_size,
+                       CounterOptions(options_, point_threads, governance,
+                                      scope.query_id)),
+                   point);
       };
       unsigned threads =
           runtime::ThreadPool::ResolveThreadCount(options_.num_threads);
@@ -496,18 +443,6 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
   throw std::logic_error("Engine::WFOMCSweep: unreachable");
 }
 
-void CompiledQuery::RequireKind(Kind kind, const char* who) const {
-  if (kind_ == kind) return;
-  if (kind == Kind::kGrounded) {
-    throw std::invalid_argument(
-        std::string(who) +
-        ": this circuit is lifted (domain-parametric); pass a domain size "
-        "via Evaluate(n, reweights)");
-  }
-  throw std::invalid_argument(std::string(who) +
-                              ": this circuit is grounded, not lifted");
-}
-
 std::size_t CompiledQuery::MemoryBytes() const {
   return circuit_.MemoryBytes() + lifted_circuit_.MemoryBytes() +
          variable_relation_.capacity() * sizeof(logic::RelationId) +
@@ -528,52 +463,16 @@ numeric::BigRational CompiledQuery::Evaluate(
     }
     // The grounded evaluator requires scratch; make a one-shot arena
     // when the caller brought none.
-    if (arena == nullptr) return EvaluateRaw(GroundWeights(reweights));
-    return EvaluateRaw(GroundWeights(reweights), arena);
+    if (arena == nullptr) return circuit_.Evaluate(GroundWeights(reweights));
+    return circuit_.Evaluate(GroundWeights(reweights), arena);
   }
   return lifted_circuit_.Evaluate(
       domain_size, LiftedWeights(reweights), nullptr,
       arena != nullptr ? &arena->rational_values : nullptr);
 }
 
-numeric::BigRational CompiledQuery::Evaluate(
-    std::uint64_t domain_size,
-    const std::vector<RelationWeights>& reweights) const {
-  return Evaluate(domain_size, reweights, nullptr);
-}
-
-numeric::BigRational CompiledQuery::Evaluate() const {
-  return Evaluate(std::vector<RelationWeights>{});
-}
-
-numeric::BigRational CompiledQuery::Evaluate(
-    const std::vector<RelationWeights>& reweights) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::Evaluate");
-  return EvaluateRaw(GroundWeights(reweights));
-}
-
-numeric::BigRational CompiledQuery::Evaluate(
-    const std::vector<RelationWeights>& reweights,
-    nnf::Circuit::EvalArena* arena) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::Evaluate");
-  return EvaluateRaw(GroundWeights(reweights), arena);
-}
-
-numeric::BigRational CompiledQuery::EvaluateRaw(
-    const wmc::WeightMap& weights) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::EvaluateRaw");
-  return circuit_.Evaluate(weights);
-}
-
-numeric::BigRational CompiledQuery::EvaluateRaw(
-    const wmc::WeightMap& weights, nnf::Circuit::EvalArena* arena) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::EvaluateRaw");
-  return circuit_.Evaluate(weights, arena);
-}
-
 nnf::LiftedCircuit::Weights CompiledQuery::LiftedWeights(
     const std::vector<RelationWeights>& reweights) const {
-  RequireKind(Kind::kLifted, "CompiledQuery::LiftedWeights");
   // The circuit's relation table is the extended (Scott/Skolem)
   // vocabulary, whose prefix is the original vocabulary in id order — so
   // replacements resolved against the snapshot apply by id, and the
@@ -593,7 +492,11 @@ nnf::LiftedCircuit::Weights CompiledQuery::LiftedWeights(
 
 wmc::WeightMap CompiledQuery::GroundWeights(
     const std::vector<RelationWeights>& reweights) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::GroundWeights");
+  if (kind_ != Kind::kGrounded) {
+    throw std::invalid_argument(
+        "CompiledQuery::GroundWeights: this circuit is lifted "
+        "(domain-parametric) and has no per-variable weights");
+  }
   // Start from the compile-time per-relation weights, overlay the
   // replacements, then expand per ground tuple. Tseitin auxiliaries
   // (ids >= tuple_count()) keep the WeightMap default (1, 1).
@@ -620,7 +523,11 @@ wmc::WeightMap CompiledQuery::GroundWeights(
   return weights;
 }
 
-bool Engine::CanCompileLifted(const logic::Formula& sentence) const {
+bool Engine::CanCompileLifted(
+    const logic::Formula& sentence,
+    std::optional<std::uint64_t> domain_size) const {
+  // A lifted circuit is valid for n >= 1 only; n = 0 compiles grounded.
+  if (domain_size.has_value() && *domain_size == 0) return false;
   return fo2::CanCompileLifted(sentence, vocabulary_);
 }
 
@@ -628,8 +535,9 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
                               const CompileOptions& options) {
   Method method = options.method;
   if (method == Method::kAuto) {
-    method = CanCompileLifted(sentence) ? Method::kLiftedFO2
-                                        : Method::kGrounded;
+    method = CanCompileLifted(sentence, options.domain_size)
+                 ? Method::kLiftedFO2
+                 : Method::kGrounded;
   }
   QueryScope scope(options_, "compile", method);
   if (options.domain_size.has_value()) {
@@ -666,9 +574,6 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
         "sentences compile without one)");
   }
   std::uint64_t domain_size = *options.domain_size;
-  Governance governance = ResolveGovernance(
-      options_,
-      QueryOptions{options.budget, options.cancel, options.fault});
 
   // The same grounding pipeline as Method::kGrounded, with the counter in
   // tracing mode: the count falls out of the compile for free, and the
@@ -681,20 +586,15 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
       grounding::SymmetricGroundWeights(index, tseitin.cnf.variable_count);
 
   nnf::CircuitBuilder builder(tseitin.cnf.variable_count);
-  wmc::DpllCounter::Options counter_options;
+  wmc::DpllCounter::Options counter_options = CounterOptions(
+      options_, /*num_threads=*/1, options.governance, scope.query_id);
   counter_options.trace_sink = &builder;
-  counter_options.budget = governance.budget;
-  counter_options.cancel = governance.cancel;
-  counter_options.fault = governance.fault;
-  counter_options.metrics = options_.metrics;
-  counter_options.trace = options_.trace;
-  counter_options.trace_query_id = scope.query_id;
   wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights),
                            counter_options);
 
   wmc::DpllCounter::CountResult counted = counter.CountBounded();
   result.stop_reason = counted.stop_reason;
-  if (counted.outcome != wmc::DpllCounter::CountOutcome::kExact) {
+  if (counted.outcome != Outcome::kExact) {
     // A stopped trace contains placeholder FALSE nodes for the abandoned
     // subtrees — wrong for some weight vector — so the whole circuit is
     // discarded. (Unlike counting, compilation has no usable partial
@@ -721,57 +621,16 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
   return result;
 }
 
-CompiledQuery Engine::Compile(const logic::Formula& sentence,
-                              std::uint64_t domain_size) {
-  CompileResult result = TryCompile(sentence, domain_size);
-  if (result.outcome != Outcome::kExact) {
-    throw std::runtime_error(
-        std::string("Engine::Compile: budget exhausted mid-trace "
-                    "(stop reason: ") +
-        runtime::ToString(result.stop_reason) +
-        "); a partial circuit is unusable — retry with a larger budget");
-  }
-  return *std::move(result.compiled);
-}
-
-Engine::CompileResult Engine::TryCompile(const logic::Formula& sentence,
-                                         std::uint64_t domain_size) {
-  CompileOptions options;
-  options.domain_size = domain_size;
-  options.method = Method::kGrounded;
-  return Compile(sentence, options);
-}
-
-namespace {
-
-// FOMC/Probability return a single number with no channel for bounds, so
-// a budget-stopped count behind them must throw rather than silently
-// hand back a lower bound.
-void RequireExact(const Engine::Result& result, const char* who) {
-  if (result.outcome != Outcome::kExact) {
-    throw std::runtime_error(
-        std::string(who) + ": budget exhausted (stop reason: " +
-        runtime::ToString(result.stop_reason) +
-        "); use WFOMC() to consume anytime bounds");
-  }
-}
-
-}  // namespace
-
 numeric::BigInt Engine::FOMC(const logic::Formula& sentence,
                              std::uint64_t domain_size, Method method) {
   ScopedUnitWeights unit_weights(&vocabulary_);
-  Result result = WFOMC(sentence, domain_size, method);
-  RequireExact(result, "Engine::FOMC");
-  return result.value.ToInteger();
+  return WFOMC(sentence, domain_size, method).value.ToInteger();
 }
 
 numeric::BigRational Engine::Probability(const logic::Formula& sentence,
                                          std::uint64_t domain_size,
                                          Method method) {
-  Result numerator_result = WFOMC(sentence, domain_size, method);
-  RequireExact(numerator_result, "Engine::Probability");
-  BigRational numerator = std::move(numerator_result.value);
+  BigRational numerator = WFOMC(sentence, domain_size, method).value;
   BigRational normalizer(1);
   for (logic::RelationId id = 0; id < vocabulary_.size(); ++id) {
     std::uint64_t tuples = 1;

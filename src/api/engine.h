@@ -15,6 +15,7 @@
 #include "numeric/rational.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/budget.h"
 #include "wmc/dpll_counter.h"
 #include "wmc/weights.h"
 
@@ -30,18 +31,10 @@ enum class Method {
 
 const char* ToString(Method method);
 
-/// How a query ended under a resource envelope. Ungoverned queries (and
-/// every lifted-path query — the PTIME routes never exhaust a budget) are
-/// kExact. kBounds carries certified anytime bounds; kAborted means the
-/// budget fired where no certified answer exists (negative weights, or a
-/// partial compilation trace).
-enum class Outcome {
-  kExact,
-  kBounds,
-  kAborted,
-};
-
-const char* ToString(Outcome outcome);
+/// How a query ended under its governance (runtime/budget.h). Every
+/// lifted-path query is kExact: the PTIME routes run ungoverned.
+using runtime::Outcome;
+using runtime::ToString;
 
 /// Certified anytime bounds: lower <= exact <= upper, from the explored
 /// part of a budget-stopped search (non-negative weights only).
@@ -122,58 +115,33 @@ class CompiledQuery {
   /// bound its footprint (swfomc serve's LRU).
   std::size_t MemoryBytes() const;
 
-  /// The uniform entry point: WFOMC(Φ, n) with the listed relations'
-  /// weights replaced (relations not listed keep their compile-time
-  /// weights; zero and negative weights are fine — neither circuit kind
-  /// depends on the weights). For the grounded kind `domain_size` must
-  /// equal domain_size() (std::invalid_argument otherwise — a grounded
-  /// circuit answers one n); the lifted kind accepts any n >= 1. `arena`
-  /// is optional caller-owned scratch reused across calls (one arena per
-  /// evaluating thread). Throws std::invalid_argument for an unknown
-  /// relation name.
+  /// WFOMC(Φ, n) with the listed relations' weights replaced (relations
+  /// not listed keep their compile-time weights; zero and negative
+  /// weights are fine — neither circuit kind depends on the weights). For
+  /// the grounded kind `domain_size` must equal domain_size()
+  /// (std::invalid_argument otherwise — a grounded circuit answers one
+  /// n); the lifted kind accepts any n >= 1. `arena` is optional
+  /// caller-owned scratch: one nnf::Circuit::EvalArena per evaluating
+  /// thread, reused across calls, makes steady-state evaluation
+  /// allocation-free (see circuit.h). Throws std::invalid_argument for an
+  /// unknown relation name.
   numeric::BigRational Evaluate(std::uint64_t domain_size,
                                 const std::vector<RelationWeights>& reweights,
-                                nnf::Circuit::EvalArena* arena) const;
-  numeric::BigRational Evaluate(
-      std::uint64_t domain_size,
-      const std::vector<RelationWeights>& reweights) const;
+                                nnf::Circuit::EvalArena* arena = nullptr) const;
 
-  /// WFOMC(Φ, n) under the compile-time vocabulary weights, via the
-  /// circuit. Grounded kind: equals compile_count() — the cheap sanity
-  /// check. Lifted kind throws (it needs a domain size).
-  numeric::BigRational Evaluate() const;
-  /// WFOMC(Φ, n) at the compile-time domain size with the listed
-  /// relations' weights replaced. Grounded kind only; the lifted kind
-  /// throws std::invalid_argument (pass n via Evaluate(n, reweights)).
-  numeric::BigRational Evaluate(
-      const std::vector<RelationWeights>& reweights) const;
-  /// Serving form: same as above with caller-owned evaluation scratch
-  /// (one nnf::Circuit::EvalArena reused across calls makes steady-state
-  /// evaluation allocation-free; see circuit.h).
-  numeric::BigRational Evaluate(const std::vector<RelationWeights>& reweights,
-                                nnf::Circuit::EvalArena* arena) const;
-  /// Lowest level, grounded kind only: explicit per-variable weights
-  /// (must cover circuit().variable_count() variables; Tseitin
-  /// auxiliaries should stay (1, 1) for the count to mean WFOMC).
-  numeric::BigRational EvaluateRaw(const wmc::WeightMap& weights) const;
-  numeric::BigRational EvaluateRaw(const wmc::WeightMap& weights,
-                                   nnf::Circuit::EvalArena* arena) const;
-
-  /// The per-variable weight map `reweights` induces — what EvaluateRaw
-  /// would be handed. Exposed for serialization (.nnf weight lines).
-  /// Grounded kind only.
+  /// The per-variable weight map `reweights` induces over the grounded
+  /// circuit (Tseitin auxiliaries weigh (1, 1)), for serialization (.nnf
+  /// weight lines). Grounded kind only.
   wmc::WeightMap GroundWeights(
-      const std::vector<RelationWeights>& reweights) const;
-
-  /// The per-relation weight vector `reweights` induces over the lifted
-  /// circuit's (extended) relation table. Lifted kind only.
-  nnf::LiftedCircuit::Weights LiftedWeights(
       const std::vector<RelationWeights>& reweights) const;
 
  private:
   friend class Engine;
 
-  void RequireKind(Kind kind, const char* who) const;
+  /// The per-relation weight vector `reweights` induces over the lifted
+  /// circuit's (extended) relation table.
+  nnf::LiftedCircuit::Weights LiftedWeights(
+      const std::vector<RelationWeights>& reweights) const;
 
   Kind kind_ = Kind::kGrounded;
   nnf::Circuit circuit_;
@@ -188,31 +156,20 @@ class CompiledQuery {
 
 const char* ToString(CompiledQuery::Kind kind);
 
-/// Per-call resource governance: non-null members override the engine's
-/// Options for the duration of one query, so concurrent callers sharing
-/// an Engine (the serve daemon) govern each request without mutating
-/// shared engine state.
-struct QueryOptions {
-  runtime::Budget* budget = nullptr;
-  runtime::CancelToken* cancel = nullptr;
-  runtime::FaultPoint* fault = nullptr;
-};
-
 /// What Engine::Compile should produce and under which resources.
 struct CompileOptions {
   /// Required by the grounded compiler (it fixes n at compile time);
   /// ignored by the lifted compiler, whose circuit is domain-parametric.
   std::optional<std::uint64_t> domain_size;
-  /// kAuto compiles liftable sentences into lifted circuits and falls
-  /// back to the grounded trace (at `domain_size`) otherwise. kLiftedFO2
-  /// and kGrounded force their compiler; kGammaAcyclic has no circuit
-  /// form and is rejected.
+  /// kAuto compiles liftable sentences into lifted circuits (unless
+  /// `domain_size` is 0, see CanCompileLifted) and falls back to the
+  /// grounded trace (at `domain_size`) otherwise. kLiftedFO2 and
+  /// kGrounded force their compiler; kGammaAcyclic has no circuit form
+  /// and is rejected.
   Method method = Method::kAuto;
-  /// Per-call governance for the grounded trace (the lifted compiler is
-  /// polynomial and runs ungoverned); non-null overrides engine Options.
-  runtime::Budget* budget = nullptr;
-  runtime::CancelToken* cancel = nullptr;
-  runtime::FaultPoint* fault = nullptr;
+  /// Governance for the grounded trace (the lifted compiler is
+  /// polynomial and runs ungoverned).
+  runtime::Governance governance{};
 };
 
 /// The outcome of Engine::Compile, shaped like Engine::Result: which
@@ -244,15 +201,6 @@ class Engine {
     /// solving inside the DPLL counter) and for WFOMCSweep's concurrent
     /// sweep points. 1 = fully sequential; 0 = one per hardware thread.
     unsigned num_threads = 1;
-    /// Resource envelope for grounded searches (not owned; shared by
-    /// every query — and every sweep point — issued while set). On
-    /// exhaustion WFOMC/WFOMCSweep report Outcome::kBounds (or kAborted)
-    /// instead of spinning; Compile reports through TryCompile.
-    runtime::Budget* budget = nullptr;
-    /// Cooperative cancellation for grounded searches (not owned).
-    runtime::CancelToken* cancel = nullptr;
-    /// Deterministic fault injection for tests (not owned).
-    runtime::FaultPoint* fault = nullptr;
     /// Live observability (not owned; null = disabled). The registry
     /// receives per-method route counters and is forwarded into the
     /// DPLL counter and its pool; the trace log gets one span per
@@ -262,18 +210,11 @@ class Engine {
     obs::TraceLog* trace = nullptr;
   };
 
-  /// CompileResult used to be a nested type; the alias keeps
-  /// Engine::CompileResult spelling valid for pre-unification callers.
-  using CompileResult = api::CompileResult;
-
   explicit Engine(logic::Vocabulary vocabulary);
   Engine(logic::Vocabulary vocabulary, Options options);
 
   const logic::Vocabulary& vocabulary() const { return vocabulary_; }
   logic::Vocabulary* mutable_vocabulary() { return &vocabulary_; }
-
-  const Options& options() const { return options_; }
-  void set_options(Options options) { options_ = options; }
 
   /// Parses a sentence against (and possibly extending) the vocabulary.
   logic::Formula Parse(const std::string& text);
@@ -293,13 +234,12 @@ class Engine {
     std::optional<wmc::DpllCounter::Stats> grounded_stats;
   };
 
-  /// Symmetric WFOMC(Φ, n, w, w̄).
+  /// Symmetric WFOMC(Φ, n, w, w̄). A grounded search stopped by
+  /// `governance` reports Outcome::kBounds (or kAborted) instead of
+  /// spinning.
   Result WFOMC(const logic::Formula& sentence, std::uint64_t domain_size,
-               Method method = Method::kAuto);
-  /// Same, with per-call resource governance (see QueryOptions): non-null
-  /// members override the engine-level Options for this query only.
-  Result WFOMC(const logic::Formula& sentence, std::uint64_t domain_size,
-               Method method, const QueryOptions& query_options);
+               Method method = Method::kAuto,
+               const runtime::Governance& governance = {});
 
   struct SweepPoint {
     std::uint64_t domain_size = 0;
@@ -329,16 +269,14 @@ class Engine {
   ///   * grounded: sweep points are independent and run concurrently on
   ///     the thread pool when Options::num_threads != 1.
   /// Results are bit-identical to calling WFOMC per point, in every
-  /// threading configuration. Throws std::invalid_argument when
-  /// n_lo > n_hi.
+  /// threading configuration. `governance` covers the whole sweep (one
+  /// budget drains across every point). Throws std::invalid_argument
+  /// when n_lo > n_hi.
   SweepResult WFOMCSweep(const logic::Formula& sentence, std::uint64_t n_lo,
-                         std::uint64_t n_hi, Method method = Method::kAuto);
-  /// Same, with per-call resource governance (see QueryOptions).
-  SweepResult WFOMCSweep(const logic::Formula& sentence, std::uint64_t n_lo,
-                         std::uint64_t n_hi, Method method,
-                         const QueryOptions& query_options);
+                         std::uint64_t n_hi, Method method = Method::kAuto,
+                         const runtime::Governance& governance = {});
 
-  /// The unified compile entry point. Routing (under kAuto):
+  /// Compiles a sentence into a reusable circuit. Routing (under kAuto):
   ///   * liftable FO² sentences (CanCompileLifted) compile once into a
   ///     domain-parametric lifted circuit — no domain size needed, every
   ///     n >= 1 answered by CompiledQuery::Evaluate(n, reweights);
@@ -350,27 +288,18 @@ class Engine {
   /// zero-weight pruning off; each Evaluate afterwards is linear in the
   /// circuit. Throws std::invalid_argument when the grounded path is
   /// taken without a domain size, and for Method::kGammaAcyclic (the
-  /// Theorem 3.6 evaluator has no circuit form).
+  /// Theorem 3.6 evaluator has no circuit form). A grounded trace that
+  /// options.governance stops is discarded and reported kAborted.
   CompileResult Compile(const logic::Formula& sentence,
                         const CompileOptions& options = {});
 
   /// True when Compile would produce a lifted circuit for this sentence
-  /// under Method::kAuto (sentence in FO², arity <= 2, no constants).
-  bool CanCompileLifted(const logic::Formula& sentence) const;
-
-  /// Deprecated shim for the pre-unification API: grounded compile at a
-  /// fixed domain size under the engine-level Options, throwing
-  /// std::runtime_error on a budget stop. Use Compile(Φ, CompileOptions)
-  /// instead.
-  CompiledQuery Compile(const logic::Formula& sentence,
-                        std::uint64_t domain_size);
-
-  /// Deprecated shim for the pre-unification API: grounded compile at a
-  /// fixed domain size under the engine-level Options, reporting a
-  /// budget stop as Outcome::kAborted. Use Compile(Φ, CompileOptions)
-  /// instead.
-  CompileResult TryCompile(const logic::Formula& sentence,
-                           std::uint64_t domain_size);
+  /// under Method::kAuto: the sentence is in FO² (arity <= 2, no
+  /// constants) and `domain_size`, when given, is at least 1 — a lifted
+  /// circuit is valid for n >= 1 only, so n = 0 is answered grounded.
+  bool CanCompileLifted(
+      const logic::Formula& sentence,
+      std::optional<std::uint64_t> domain_size = std::nullopt) const;
 
   /// FOMC(Φ, n): WFOMC with all weights forced to (1, 1).
   numeric::BigInt FOMC(const logic::Formula& sentence,

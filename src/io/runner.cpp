@@ -16,23 +16,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Arms `budget` from the RunOptions envelope; returns whether any limit
-/// was set. Called immediately before the timed evaluation so the
-/// wall-clock deadline measures the evaluation, not setup.
-bool ArmBudget(const RunOptions& options, runtime::Budget* budget) {
-  if (!options.governed()) return false;
-  if (options.budget_ms.has_value()) {
-    budget->SetWallClockMs(*options.budget_ms);
-  }
-  if (options.max_decisions.has_value()) {
-    budget->SetMaxDecisions(*options.max_decisions);
-  }
-  if (options.max_memory_bytes.has_value()) {
-    budget->SetMaxMemoryBytes(*options.max_memory_bytes);
-  }
-  return true;
-}
-
 /// The `expect` check under governance: exact answers must match, bounds
 /// must bracket, an aborted point verifies nothing.
 bool PointMatchesExpected(const api::Engine::SweepPoint& point,
@@ -63,6 +46,8 @@ const numeric::BigRational* ExpectForPoint(const ModelRunReport& report,
   return nullptr;
 }
 
+}  // namespace
+
 void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
                       runtime::StopReason stop_reason) {
   json->Add("outcome", JsonValue::MakeString(api::ToString(outcome)));
@@ -71,8 +56,6 @@ void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
               JsonValue::MakeString(runtime::ToString(stop_reason)));
   }
 }
-
-}  // namespace
 
 ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
                         std::string source) {
@@ -101,22 +84,21 @@ ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
   if (method == api::Method::kAuto) method = report.route.method;
   report.method_used = method;
 
-  // Per-call governance: the budget rides on QueryOptions instead of
-  // mutating the engine's shared Options.
+  // Armed immediately before the timed evaluation so the wall-clock
+  // deadline measures the evaluation, not setup.
   runtime::Budget budget;
-  api::QueryOptions query_options;
-  if (ArmBudget(options, &budget)) query_options.budget = &budget;
+  runtime::Governance governance{options.limits.Arm(&budget)};
 
   auto start = std::chrono::steady_clock::now();
   if (spec.IsSweep()) {
     api::Engine::SweepResult sweep = engine.WFOMCSweep(
-        spec.sentence, spec.domain_lo, spec.domain_hi, method, query_options);
+        spec.sentence, spec.domain_lo, spec.domain_hi, method, governance);
     report.points = std::move(sweep.points);
     report.outcome = sweep.outcome;
     report.stop_reason = sweep.stop_reason;
   } else {
     api::Engine::Result result =
-        engine.WFOMC(spec.sentence, spec.domain_lo, method, query_options);
+        engine.WFOMC(spec.sentence, spec.domain_lo, method, governance);
     report.points.push_back(api::Engine::SweepPoint{
         spec.domain_lo, std::move(result.value), result.outcome,
         std::move(result.bounds), result.stop_reason});
@@ -157,7 +139,7 @@ CnfRunReport RunWeightedCnf(const WeightedCnf& instance,
   counter_options.metrics = options.metrics;
   counter_options.trace = options.trace;
   runtime::Budget budget;
-  if (ArmBudget(options, &budget)) counter_options.budget = &budget;
+  counter_options.governance.budget = options.limits.Arm(&budget);
 
   // The cnf path bypasses api::Engine, so it claims its own query id for
   // trace correlation and wraps the count in a span itself.
@@ -177,21 +159,9 @@ CnfRunReport RunWeightedCnf(const WeightedCnf& instance,
   wmc::DpllCounter::CountResult counted = counter.CountBounded();
   report.elapsed_seconds = SecondsSince(start);
   span.Finish();
-  switch (counted.outcome) {
-    case wmc::DpllCounter::CountOutcome::kExact:
-      report.outcome = api::Outcome::kExact;
-      report.count = counted.value;
-      report.upper = std::move(counted.value);
-      break;
-    case wmc::DpllCounter::CountOutcome::kBounds:
-      report.outcome = api::Outcome::kBounds;
-      report.count = std::move(counted.value);
-      report.upper = std::move(counted.upper);
-      break;
-    case wmc::DpllCounter::CountOutcome::kAborted:
-      report.outcome = api::Outcome::kAborted;
-      break;
-  }
+  report.outcome = counted.outcome;
+  report.count = std::move(counted.value);
+  report.upper = std::move(counted.upper);
   report.stop_reason = counted.stop_reason;
   report.stats = counter.stats();
   return report;
@@ -217,7 +187,7 @@ CompileOutcome RunCompile(const ModelSpec& spec, const RunOptions& options,
   if (spec.has_domain) compile_options.domain_size = spec.domain_hi;
   compile_options.method = options.method_override.value_or(spec.method);
   runtime::Budget budget;
-  if (ArmBudget(options, &budget)) compile_options.budget = &budget;
+  compile_options.governance.budget = options.limits.Arm(&budget);
 
   auto start = std::chrono::steady_clock::now();
   api::CompileResult compiled = engine.Compile(spec.sentence, compile_options);

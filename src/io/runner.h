@@ -35,19 +35,12 @@ struct RunOptions {
   /// evaluation starts, not at process launch — and a grounded search
   /// that exhausts it reports outcome "bounds" (or "aborted") instead of
   /// running away.
-  std::optional<std::uint64_t> budget_ms;
-  std::optional<std::uint64_t> max_decisions;
-  std::optional<std::uint64_t> max_memory_bytes;
+  runtime::BudgetLimits limits;
   /// Live observability (the CLI's --metrics-out / --trace-out flags;
   /// not owned, null = disabled). Forwarded into the engine and the DPLL
   /// counter; never changes any result bit.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceLog* trace = nullptr;
-
-  bool governed() const {
-    return budget_ms.has_value() || max_decisions.has_value() ||
-           max_memory_bytes.has_value();
-  }
 };
 
 /// Everything one model evaluation produced, ready for serialization:
@@ -205,6 +198,12 @@ EvalRunReport RunEval(const NnfDocument& document,
 EvalRunReport RunEval(const LiftedNnfDocument& document,
                       std::optional<std::uint64_t> domain_size = std::nullopt,
                       std::string source = "<input>");
+
+/// Adds "outcome" and, for a computation that stopped early, its
+/// "stop_reason" to `json`: the shape every governed answer takes in the
+/// CLI reports and in serve responses.
+void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
+                      runtime::StopReason stop_reason);
 
 /// JSON renderings of the reports (the `swfomc` output schema; see the
 /// README's "File formats and the swfomc CLI" section). All exact values

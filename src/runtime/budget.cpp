@@ -13,4 +13,13 @@ const char* ToString(StopReason reason) {
   return "?";
 }
 
+const char* ToString(Outcome outcome) {
+  switch (outcome) {
+    case Outcome::kExact: return "exact";
+    case Outcome::kBounds: return "bounds";
+    case Outcome::kAborted: return "aborted";
+  }
+  return "?";
+}
+
 }  // namespace swfomc::runtime

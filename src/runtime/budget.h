@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 namespace swfomc::runtime {
 
@@ -20,6 +21,18 @@ enum class StopReason : std::uint8_t {
 };
 
 const char* ToString(StopReason reason);
+
+/// How a governed computation ended. Ungoverned runs are always kExact.
+/// kBounds carries certified anytime bounds (lower <= exact <= upper);
+/// kAborted means a limit fired where no certified answer exists
+/// (negative weights, or a partial compilation trace).
+enum class Outcome : std::uint8_t {
+  kExact,
+  kBounds,
+  kAborted,
+};
+
+const char* ToString(Outcome outcome);
 
 /// Cooperative cancellation flag, shared between the requesting thread
 /// and any number of workers. Requesting cancellation is a relaxed store;
@@ -187,6 +200,48 @@ class FaultPoint {
   const Action action_;
   const std::uint64_t fire_at_;
   std::atomic<std::uint64_t> events_{0};
+};
+
+/// The governance one computation runs under: a resource envelope, a
+/// cancellation token, and a fault point (none owned; null = that arm is
+/// off). Passed per call, so concurrent callers sharing an engine (the
+/// serve daemon) govern each request without touching shared state.
+struct Governance {
+  Budget* budget = nullptr;
+  CancelToken* cancel = nullptr;
+  FaultPoint* fault = nullptr;
+
+  bool active() const {
+    return budget != nullptr || cancel != nullptr || fault != nullptr;
+  }
+};
+
+/// Resource limits as configured (the CLI's --budget-ms / --max-decisions
+/// / --max-memory flags, serve's defaults and per-request fields), before
+/// any clock starts. Unset limits do not bind.
+struct BudgetLimits {
+  std::optional<std::uint64_t> budget_ms;
+  std::optional<std::uint64_t> max_decisions;
+  std::optional<std::uint64_t> max_memory_bytes;
+
+  bool governed() const {
+    return budget_ms.has_value() || max_decisions.has_value() ||
+           max_memory_bytes.has_value();
+  }
+
+  /// Sets every configured limit on `budget`, starting the wall-clock
+  /// deadline now — call it immediately before the governed work. Returns
+  /// `budget` when any limit is set and null otherwise, ready for
+  /// Governance::budget.
+  Budget* Arm(Budget* budget) const {
+    if (!governed()) return nullptr;
+    if (budget_ms.has_value()) budget->SetWallClockMs(*budget_ms);
+    if (max_decisions.has_value()) budget->SetMaxDecisions(*max_decisions);
+    if (max_memory_bytes.has_value()) {
+      budget->SetMaxMemoryBytes(*max_memory_bytes);
+    }
+    return budget;
+  }
 };
 
 }  // namespace swfomc::runtime

@@ -15,6 +15,7 @@
 
 #include "io/diagnostics.h"
 #include "io/model_format.h"
+#include "io/runner.h"
 #include "logic/printer.h"
 #include "runtime/budget.h"
 
@@ -83,37 +84,6 @@ JsonValue MakeError(const JsonValue* id, const std::string& message) {
   return json;
 }
 
-/// The per-request resource envelope (request fields override the server
-/// defaults). Arms `budget` and returns true when any limit applies.
-struct RequestBudget {
-  std::optional<std::uint64_t> budget_ms;
-  std::optional<std::uint64_t> max_decisions;
-  std::optional<std::uint64_t> max_memory_bytes;
-
-  bool governed() const {
-    return budget_ms.has_value() || max_decisions.has_value() ||
-           max_memory_bytes.has_value();
-  }
-  bool Arm(runtime::Budget* budget) const {
-    if (!governed()) return false;
-    if (budget_ms.has_value()) budget->SetWallClockMs(*budget_ms);
-    if (max_decisions.has_value()) budget->SetMaxDecisions(*max_decisions);
-    if (max_memory_bytes.has_value()) {
-      budget->SetMaxMemoryBytes(*max_memory_bytes);
-    }
-    return true;
-  }
-};
-
-void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
-                      runtime::StopReason stop_reason) {
-  json->Add("outcome", JsonValue::MakeString(api::ToString(outcome)));
-  if (stop_reason != runtime::StopReason::kNone) {
-    json->Add("stop_reason",
-              JsonValue::MakeString(runtime::ToString(stop_reason)));
-  }
-}
-
 /// One governed direct count (the compile-aborted fallback and the
 /// "direct" mode): a fresh engine and a fresh budget per weight vector,
 /// so every vector gets the full envelope and certified bounds where the
@@ -122,7 +92,8 @@ JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
                        const logic::Formula& sentence,
                        std::uint64_t domain_size,
                        const std::vector<api::RelationWeights>& reweights,
-                       api::Method method, const RequestBudget& envelope,
+                       api::Method method,
+                       const runtime::BudgetLimits& envelope,
                        unsigned num_threads, obs::MetricsRegistry* metrics,
                        obs::TraceLog* trace) {
   logic::Vocabulary vocabulary = base_vocabulary;
@@ -136,16 +107,10 @@ JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
   engine_options.metrics = metrics;
   engine_options.trace = trace;
   api::Engine engine(std::move(vocabulary), engine_options);
-  // Per-call governance: the request's budget rides on QueryOptions, so
-  // even a shared engine would stay untouched.
   runtime::Budget budget;
-  api::QueryOptions query_options;
-  if (envelope.governed()) {
-    envelope.Arm(&budget);
-    query_options.budget = &budget;
-  }
-  api::Engine::Result result =
-      engine.WFOMC(sentence, domain_size, method, query_options);
+  api::Engine::Result result = engine.WFOMC(
+      sentence, domain_size, method,
+      runtime::Governance{envelope.Arm(&budget)});
   JsonValue entry = JsonValue::MakeObject();
   switch (result.outcome) {
     case api::Outcome::kExact:
@@ -161,7 +126,7 @@ JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
       break;
   }
   if (result.outcome != api::Outcome::kExact) {
-    AddOutcomeFields(&entry, result.outcome, result.stop_reason);
+    io::AddOutcomeFields(&entry, result.outcome, result.stop_reason);
   }
   return entry;
 }
@@ -381,8 +346,7 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
     return MakeError(id, "\"domain\" must be a non-negative integer");
   }
 
-  RequestBudget envelope{options_.budget_ms, options_.max_decisions,
-                         options_.max_memory_bytes};
+  runtime::BudgetLimits envelope = options_.limits;
   struct BudgetField {
     const char* name;
     std::optional<std::uint64_t>* slot;
@@ -422,8 +386,8 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
     }
     if (mode == "compile" && *parsed != api::Method::kAuto) {
       return MakeError(
-          id, "\"method\" only applies to mode \"direct\" (compilation "
-              "always traces the grounded search)");
+          id, "\"method\" only applies to mode \"direct\" (compile mode "
+              "picks the lifted or the grounded compiler itself)");
     }
     method = *parsed;
   }
@@ -527,10 +491,9 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
     // Liftable sentences cache under the canonical sentence alone: one
     // lifted circuit answers every domain size, so requests at different
     // n share the entry. Grounded circuits are fixed-n and key on
-    // (sentence, n). A lifted circuit is only valid for n >= 1; a
-    // domain-0 request compiles grounded.
+    // (sentence, n).
     api::Engine router{logic::Vocabulary(vocabulary)};
-    bool lifted = *domain >= 1 && router.CanCompileLifted(sentence);
+    bool lifted = router.CanCompileLifted(sentence, *domain);
     std::string key = canonical;
     if (!lifted) {
       key.push_back('\x1f');
@@ -551,10 +514,7 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
       compile_options.domain_size = *domain;
       compile_options.method =
           lifted ? api::Method::kLiftedFO2 : api::Method::kGrounded;
-      if (envelope.governed()) {
-        envelope.Arm(&budget);
-        compile_options.budget = &budget;
-      }
+      compile_options.governance.budget = envelope.Arm(&budget);
       auto compile_start = std::chrono::steady_clock::now();
       api::CompileResult compiled;
       try {

@@ -132,17 +132,17 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
           options.use_components && options.trace_sink == nullptr
               ? runtime::ThreadPool::ResolveThreadCount(options.num_threads)
               : 1),
-      governed_(options.budget != nullptr || options.cancel != nullptr ||
-                options.fault != nullptr),
+      governed_(options.governance.active()),
       observed_(options.metrics != nullptr || options.trace != nullptr),
       // A budget's memory ceiling caps the cache bytes too (the cache is
       // the dominant allocation); the tighter of the two bounds wins.
       cache_(options.max_cache_entries,
              effective_threads_ > 1 ? kParallelCacheShards : 1,
              /*synchronized=*/effective_threads_ > 1,
-             options.budget != nullptr
-                 ? std::min<std::size_t>(options.max_cache_bytes,
-                                         options.budget->max_memory_bytes())
+             options.governance.budget != nullptr
+                 ? std::min<std::size_t>(
+                       options.max_cache_bytes,
+                       options.governance.budget->max_memory_bytes())
                  : options.max_cache_bytes),
       local_cache_(cache_.LocalShard()) {
   weights_.EnsureSize(cnf_.variable_count);
@@ -213,7 +213,7 @@ DpllCounter::NodeScratch* DpllCounter::AcquireScratch(
 
 numeric::BigRational DpllCounter::Count() {
   CountResult result = CountBounded();
-  if (result.outcome != CountOutcome::kExact) {
+  if (result.outcome != runtime::Outcome::kExact) {
     throw std::runtime_error(
         std::string("DpllCounter: budget exhausted before an exact count "
                     "(stop reason: ") +
@@ -321,7 +321,7 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     // Never stopped — exact even if governed. (A stop that fired after
     // the last decision still unwound through brackets, so result.exact
     // implies no bracket anywhere.)
-    out.outcome = CountOutcome::kExact;
+    out.outcome = runtime::Outcome::kExact;
     out.value = std::move(result.value);
     out.upper = out.value;
     return out;
@@ -330,7 +330,7 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     // The stop fired but every subtree it interrupted turned out to be
     // resolvable without further decisions (or from the cache): the
     // count is exact after all.
-    out.outcome = CountOutcome::kExact;
+    out.outcome = runtime::Outcome::kExact;
     out.value = std::move(result.value);
     out.upper = out.value;
     return out;
@@ -338,10 +338,10 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
   if (sink != nullptr || !bounds_sound_) {
     // A stopped trace is unusable (placeholder FALSE nodes), and with
     // negative weights the bracket certifies nothing.
-    out.outcome = CountOutcome::kAborted;
+    out.outcome = runtime::Outcome::kAborted;
     return out;
   }
-  out.outcome = CountOutcome::kBounds;
+  out.outcome = runtime::Outcome::kBounds;
   out.value = std::move(result.value);
   out.upper = std::move(result.upper);
   return out;
@@ -565,9 +565,10 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
       *trace_node = options_.trace_sink->False();
       return result;
     }
-    if (options_.fault != nullptr &&
-        options_.fault->Count(runtime::FaultPoint::Site::kCacheInsert)) {
-      RequestStop(options_.fault->reason());
+    if (options_.governance.fault != nullptr &&
+        options_.governance.fault->Count(
+            runtime::FaultPoint::Site::kCacheInsert)) {
+      RequestStop(options_.governance.fault->reason());
       return result;  // the value stays exact; the *next* decision stops
     }
     trace_cache_.emplace(std::move(key),
@@ -614,11 +615,12 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
   // Only exact values may be cached: a key determines its exact count,
   // but says nothing about where a budget cut the subtree off.
   if (result.exact) {
-    if (options_.fault != nullptr &&
-        options_.fault->Count(runtime::FaultPoint::Site::kCacheInsert)) {
+    if (options_.governance.fault != nullptr &&
+        options_.governance.fault->Count(
+            runtime::FaultPoint::Site::kCacheInsert)) {
       // Simulated allocation failure on this insertion: skip the insert
       // and stop the search; the already-computed value is still exact.
-      RequestStop(options_.fault->reason());
+      RequestStop(options_.governance.fault->reason());
     } else if (local_cache_ != nullptr) {
       local_cache_->Insert(std::move(key), hash, result.value);
     } else {
@@ -631,24 +633,25 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
 runtime::StopReason DpllCounter::CheckStop(SearchContext* ctx) {
   runtime::StopReason stopped = stop_.load(std::memory_order_relaxed);
   if (stopped != runtime::StopReason::kNone) return stopped;
-  if (options_.fault != nullptr &&
-      options_.fault->Count(runtime::FaultPoint::Site::kDecision)) {
-    RequestStop(options_.fault->reason());
+  const runtime::Governance& governance = options_.governance;
+  if (governance.fault != nullptr &&
+      governance.fault->Count(runtime::FaultPoint::Site::kDecision)) {
+    RequestStop(governance.fault->reason());
     return stop_.load(std::memory_order_relaxed);
   }
-  if (options_.cancel != nullptr && options_.cancel->IsCancelled()) {
+  if (governance.cancel != nullptr && governance.cancel->IsCancelled()) {
     RequestStop(runtime::StopReason::kCancelled);
     return stop_.load(std::memory_order_relaxed);
   }
-  if (options_.budget != nullptr) {
+  if (governance.budget != nullptr) {
     // The decision cap is charged exactly (a cap of K permits exactly K
     // decisions, and a cap of 0 stops before the first); the clock is
     // read every 64 ticks, starting with tick 0 so a 0ms deadline also
     // fires before any decision.
-    runtime::StopReason reason = options_.budget->ChargeDecisions(1);
+    runtime::StopReason reason = governance.budget->ChargeDecisions(1);
     if (reason == runtime::StopReason::kNone &&
         (ctx->governance_ticks++ & 63) == 0) {
-      reason = options_.budget->CheckDeadline();
+      reason = governance.budget->CheckDeadline();
     }
     if (reason != runtime::StopReason::kNone) {
       RequestStop(reason);

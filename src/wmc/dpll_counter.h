@@ -49,11 +49,11 @@ namespace swfomc::wmc {
 /// not constrained by any clause contributes a factor (w + w̄). Negative
 /// and zero weights are handled exactly.
 ///
-/// The search can be resource-governed (`Options::budget` / `cancel` /
-/// `fault`): every worker checks for a stop once per decision and, on
-/// exhaustion, winds down cooperatively — explored branches keep their
-/// exact mass, abandoned subtrees are bracketed, and CountBounded()
-/// returns certified anytime bounds instead of an answer-or-hang.
+/// The search can be resource-governed (`Options::governance`): every
+/// worker checks for a stop once per decision and, on exhaustion, winds
+/// down cooperatively — explored branches keep their exact mass,
+/// abandoned subtrees are bracketed, and CountBounded() returns certified
+/// anytime bounds instead of an answer-or-hang.
 class DpllCounter {
  public:
   struct Options {
@@ -83,21 +83,18 @@ class DpllCounter {
     TraceSink* trace_sink = nullptr;
     /// Byte bound on the component cache's resident size (keys + rational
     /// payloads + per-entry overhead); eviction is driven by whichever of
-    /// the entry and byte bounds binds first. When `budget` carries a
-    /// memory ceiling, the effective bound is the tighter of the two.
+    /// the entry and byte bounds binds first. When `governance.budget`
+    /// carries a memory ceiling, the effective bound is the tighter of the two.
     std::size_t max_cache_bytes = ComponentCache::kUnboundedBytes;
-    /// Resource envelope for the search (not owned; may be shared across
-    /// counters and threads). On exhaustion the search winds down
+    /// Budget, cancel token and fault point for the search (not owned;
+    /// may be shared across counters and threads; all null =
+    /// ungoverned). Every worker, pool-forked component tasks included,
+    /// checks them once per decision; on exhaustion the search winds down
     /// cooperatively and CountBounded() reports bounds or an abort
-    /// instead of spinning. null = ungoverned.
-    runtime::Budget* budget = nullptr;
-    /// Cooperative cancellation (not owned). Polled once per decision by
-    /// every worker, including pool-forked component tasks.
-    runtime::CancelToken* cancel = nullptr;
-    /// Deterministic fault injection for tests (not owned): fires
-    /// cancellation or a simulated allocation failure at the K-th
-    /// decision / cache insertion. null in production.
-    runtime::FaultPoint* fault = nullptr;
+    /// instead of spinning. The fault point fires cancellation or a
+    /// simulated allocation failure at the K-th decision / cache
+    /// insertion (tests only).
+    runtime::Governance governance{};
     /// Live metrics registry (not owned; null = disabled). Counters are
     /// bridged from Stats without changing counting semantics: each
     /// worker flushes its deltas every 4096 decisions and once at the
@@ -132,14 +129,6 @@ class DpllCounter {
     std::uint64_t cache_bytes = 0;
   };
 
-  /// How a governed count ended.
-  enum class CountOutcome : std::uint8_t {
-    kExact,   // the budget sufficed: value == upper == the exact count
-    kBounds,  // stopped early with certified value <= exact <= upper
-    kAborted, // stopped early with no certified bounds (negative weights
-              // or a partial trace); value/upper are meaningless
-  };
-
   /// Result of a governed count. Exact runs (including every ungoverned
   /// run) report kExact with upper == value. When a budget, token, or
   /// fault stops the search early, explored branches contribute their
@@ -147,9 +136,9 @@ class DpllCounter {
   /// [0, product of its free-literal weight mass], so with non-negative
   /// weights `value <= exact <= upper` is certified. Negative weights
   /// make that bracket unsound, and a stopped trace is unusable, so both
-  /// degrade to kAborted.
+  /// degrade to kAborted, which leaves value and upper zero.
   struct CountResult {
-    CountOutcome outcome = CountOutcome::kExact;
+    runtime::Outcome outcome = runtime::Outcome::kExact;
     numeric::BigRational value;  // exact count, or certified lower bound
     numeric::BigRational upper;  // == value when exact
     runtime::StopReason stop_reason = runtime::StopReason::kNone;
@@ -348,8 +337,8 @@ class DpllCounter {
   WeightMap weights_;
   Options options_;
   unsigned effective_threads_;
-  // True when any of budget/cancel/fault is set; the sole per-decision
-  // cost on ungoverned runs is this one predictable branch.
+  // True when options_.governance is active; the sole per-decision cost
+  // on ungoverned runs is this one predictable branch.
   bool governed_;
   // True when metrics or trace is set; like governed_, one predictable
   // per-decision branch when off.

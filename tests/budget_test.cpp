@@ -37,7 +37,7 @@ using wmc::ComponentCache;
 using wmc::DpllCounter;
 
 using CountResult = DpllCounter::CountResult;
-using CountOutcome = DpllCounter::CountOutcome;
+using runtime::Outcome;
 
 struct Instance {
   prop::CnfFormula cnf;
@@ -72,16 +72,16 @@ void ExpectBrackets(const CountResult& result, const BigRational& exact,
                     const std::string& context) {
   SCOPED_TRACE(context);
   switch (result.outcome) {
-    case CountOutcome::kExact:
+    case Outcome::kExact:
       EXPECT_EQ(result.value, exact);
       EXPECT_EQ(result.upper, exact);
       break;
-    case CountOutcome::kBounds:
+    case Outcome::kBounds:
       EXPECT_LE(result.value, exact);
       EXPECT_LE(exact, result.upper);
       EXPECT_NE(result.stop_reason, StopReason::kNone);
       break;
-    case CountOutcome::kAborted:
+    case Outcome::kAborted:
       ADD_FAILURE() << "unexpected kAborted (" << context << ")";
       break;
   }
@@ -156,7 +156,7 @@ TEST(BudgetBounds, ZeroBudgetsGiveSoundTrivialBrackets) {
     Budget decisions;
     decisions.SetMaxDecisions(0);
     DpllCounter::Options options;
-    options.budget = &decisions;
+    options.governance.budget = &decisions;
     DpllCounter::Stats stats;
     CountResult result = CountWithOptions(instance, options, &stats);
     ExpectBrackets(result, exact, "max_decisions=0 seed=" +
@@ -167,11 +167,11 @@ TEST(BudgetBounds, ZeroBudgetsGiveSoundTrivialBrackets) {
 
     Budget deadline;
     deadline.SetWallClockMs(0);
-    options.budget = &deadline;
+    options.governance.budget = &deadline;
     result = CountWithOptions(instance, options);
     ExpectBrackets(result, exact,
                    "budget_ms=0 seed=" + std::to_string(seed));
-    if (result.outcome == CountOutcome::kBounds) {
+    if (result.outcome == Outcome::kBounds) {
       EXPECT_EQ(result.stop_reason, StopReason::kDeadline);
     }
   }
@@ -186,7 +186,7 @@ TEST(BudgetBounds, BracketExactForEveryInjectedCutoff) {
       Budget budget;
       budget.SetMaxDecisions(cutoff);
       DpllCounter::Options options;
-      options.budget = &budget;
+      options.governance.budget = &budget;
       ExpectBrackets(CountWithOptions(instance, options), exact,
                      "seed=" + std::to_string(base + round) +
                          " cutoff=" + std::to_string(cutoff));
@@ -203,12 +203,12 @@ TEST(BudgetBounds, FaultInjectedCancellationBracketsExact) {
       FaultPoint fault(FaultPoint::Site::kDecision,
                        FaultPoint::Action::kCancel, fire_at);
       DpllCounter::Options options;
-      options.fault = &fault;
+      options.governance.fault = &fault;
       CountResult result = CountWithOptions(instance, options);
       ExpectBrackets(result, exact,
                      "seed=" + std::to_string(base + round) +
                          " fire_at=" + std::to_string(fire_at));
-      if (result.outcome == CountOutcome::kBounds) {
+      if (result.outcome == Outcome::kBounds) {
         EXPECT_EQ(result.stop_reason, StopReason::kCancelled);
       }
     }
@@ -231,14 +231,14 @@ TEST(BudgetBounds, BoundsAreMonotoneInTheBudget) {
       Budget budget;
       budget.SetMaxDecisions(cap);
       DpllCounter::Options options;
-      options.budget = &budget;
+      options.governance.budget = &budget;
       CountResult result = CountWithOptions(instance, options);
       ExpectBrackets(result, exact,
                      "seed=" + std::to_string(base + round) +
                          " cap=" + std::to_string(cap));
       BigRational lower = result.value;
       BigRational upper =
-          result.outcome == CountOutcome::kExact ? result.value
+          result.outcome == Outcome::kExact ? result.value
                                                  : result.upper;
       if (have_previous) {
         EXPECT_GE(lower, previous_lower) << "cap=" << cap;
@@ -247,7 +247,7 @@ TEST(BudgetBounds, BoundsAreMonotoneInTheBudget) {
       previous_lower = std::move(lower);
       previous_upper = std::move(upper);
       have_previous = true;
-      if (result.outcome == CountOutcome::kExact) break;
+      if (result.outcome == Outcome::kExact) break;
     }
   }
 }
@@ -262,11 +262,11 @@ TEST(BudgetBounds, GenerousBudgetIsBitIdenticalToUngoverned) {
       budget.SetMaxDecisions(std::uint64_t{1} << 40);
       budget.SetWallClockMs(600'000);
       DpllCounter::Options options;
-      options.budget = &budget;
+      options.governance.budget = &budget;
       options.num_threads = threads;
       options.parallel_min_component_vars = 2;
       CountResult result = CountWithOptions(instance, options);
-      ASSERT_EQ(result.outcome, CountOutcome::kExact)
+      ASSERT_EQ(result.outcome, Outcome::kExact)
           << "threads=" << threads;
       EXPECT_EQ(result.value, exact);
       // Bit-identical, not just numerically equal.
@@ -287,7 +287,7 @@ TEST(BudgetBounds, ParallelStopsStillBracketExact) {
       Budget budget;
       budget.SetMaxDecisions(cutoff);
       DpllCounter::Options options;
-      options.budget = &budget;
+      options.governance.budget = &budget;
       options.num_threads = 4;
       options.parallel_min_component_vars = 2;
       ExpectBrackets(CountWithOptions(instance, options), exact,
@@ -310,7 +310,7 @@ TEST(BudgetBounds, ParallelFaultInjectionBracketsExact) {
       FaultPoint fault(FaultPoint::Site::kDecision,
                        FaultPoint::Action::kCancel, fire_at);
       DpllCounter::Options options;
-      options.fault = &fault;
+      options.governance.fault = &fault;
       options.num_threads = 4;
       options.parallel_min_component_vars = 2;
       ExpectBrackets(CountWithOptions(instance, options), exact,
@@ -339,16 +339,16 @@ TEST(BudgetBounds, NegativeWeightsDegradeToAborted) {
     Budget budget;
     budget.SetMaxDecisions(0);
     DpllCounter::Options options;
-    options.budget = &budget;
+    options.governance.budget = &budget;
     CountResult result = CountWithOptions(instance, options);
-    if (result.outcome == CountOutcome::kExact) {
+    if (result.outcome == Outcome::kExact) {
       // Unit propagation alone finished the count — no bracket needed.
       EXPECT_EQ(result.value, exact);
     } else {
       // A [0, mass] bracket is unsound under negative weights; the
       // search must refuse to certify bounds rather than report wrong
       // ones.
-      EXPECT_EQ(result.outcome, CountOutcome::kAborted);
+      EXPECT_EQ(result.outcome, Outcome::kAborted);
       EXPECT_EQ(result.stop_reason, StopReason::kDecisions);
     }
   }
@@ -360,10 +360,10 @@ TEST(BudgetBounds, MemoryFaultOnCacheInsertYieldsBounds) {
   FaultPoint fault(FaultPoint::Site::kCacheInsert,
                    FaultPoint::Action::kMemoryExhausted, 1);
   DpllCounter::Options options;
-  options.fault = &fault;
+  options.governance.fault = &fault;
   CountResult result = CountWithOptions(instance, options);
   ExpectBrackets(result, exact, "memory fault at first cache insert");
-  if (result.outcome == CountOutcome::kBounds) {
+  if (result.outcome == Outcome::kBounds) {
     EXPECT_EQ(result.stop_reason, StopReason::kMemory);
   }
 }
@@ -380,7 +380,7 @@ TEST(BudgetCancellation, FourThreadSearchStopsPromptlyOnCancel) {
 
   CancelToken token;
   DpllCounter::Options options;
-  options.cancel = &token;
+  options.governance.cancel = &token;
   options.num_threads = 4;
   options.parallel_min_component_vars = 2;
 
@@ -401,7 +401,7 @@ TEST(BudgetCancellation, FourThreadSearchStopsPromptlyOnCancel) {
   // decision, so wind-down is bounded by one check interval per worker —
   // generous slack here for sanitizer builds and loaded CI machines.
   EXPECT_LT(latency_seconds, 10.0);
-  EXPECT_EQ(result.outcome, CountOutcome::kBounds);
+  EXPECT_EQ(result.outcome, Outcome::kBounds);
   EXPECT_EQ(result.stop_reason, StopReason::kCancelled);
   EXPECT_LE(result.value, result.upper);
 }
@@ -412,10 +412,10 @@ TEST(BudgetCancellation, CancelBeforeStartReturnsImmediately) {
   CancelToken token;
   token.RequestCancel();
   DpllCounter::Options options;
-  options.cancel = &token;
+  options.governance.cancel = &token;
   CountResult result = CountWithOptions(instance, options);
   ExpectBrackets(result, exact, "pre-cancelled token");
-  if (result.outcome == CountOutcome::kBounds) {
+  if (result.outcome == Outcome::kBounds) {
     EXPECT_EQ(result.stop_reason, StopReason::kCancelled);
   }
 }
@@ -431,13 +431,13 @@ TEST(BudgetCancellation, CountThrowsWhenGovernedRunStopsEarly) {
     Budget probe_budget;
     probe_budget.SetMaxDecisions(0);
     DpllCounter::Options options;
-    options.budget = &probe_budget;
-    if (CountWithOptions(instance, options).outcome == CountOutcome::kExact) {
+    options.governance.budget = &probe_budget;
+    if (CountWithOptions(instance, options).outcome == Outcome::kExact) {
       continue;
     }
     Budget budget;
     budget.SetMaxDecisions(0);
-    options.budget = &budget;
+    options.governance.budget = &budget;
     DpllCounter counter(instance.cnf, instance.weights, options);
     EXPECT_THROW(counter.Count(), std::runtime_error);
     exercised = true;
@@ -522,12 +522,12 @@ TEST(CacheBytes, CounterHonoursByteCeilingUnderBudgetMemoryLimit) {
   Budget budget;
   budget.SetMaxMemoryBytes(1 << 12);  // 4 KiB cache ceiling
   DpllCounter::Options options;
-  options.budget = &budget;
+  options.governance.budget = &budget;
   DpllCounter::Stats stats;
   CountResult result = CountWithOptions(instance, options, &stats);
   // A memory ceiling alone never stops the search — it shrinks the
   // cache, trading hits for recomputation; the count stays exact.
-  ASSERT_EQ(result.outcome, CountOutcome::kExact);
+  ASSERT_EQ(result.outcome, Outcome::kExact);
   EXPECT_EQ(result.value, exact);
   EXPECT_LE(stats.cache_bytes, std::uint64_t{1} << 12);
 }
@@ -540,18 +540,15 @@ TEST(BudgetEngine, SweepDegradesToBoundsThatBracketTheExactSweep) {
   logic::Formula phi = logic::Parse(
       "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
 
-  api::Engine exact_engine(vocab);
+  api::Engine engine(vocab);
   api::Engine::SweepResult exact =
-      exact_engine.WFOMCSweep(phi, 1, 4, api::Method::kGrounded);
-  ASSERT_EQ(exact.outcome, api::Outcome::kExact);
+      engine.WFOMCSweep(phi, 1, 4, api::Method::kGrounded);
+  ASSERT_EQ(exact.outcome, Outcome::kExact);
 
   runtime::Budget budget;
   budget.SetMaxDecisions(8);  // drains across the whole sweep
-  api::Engine::Options options;
-  options.budget = &budget;
-  api::Engine governed_engine(vocab, options);
-  api::Engine::SweepResult governed =
-      governed_engine.WFOMCSweep(phi, 1, 4, api::Method::kGrounded);
+  api::Engine::SweepResult governed = engine.WFOMCSweep(
+      phi, 1, 4, api::Method::kGrounded, runtime::Governance{&budget});
 
   ASSERT_EQ(governed.points.size(), exact.points.size());
   bool any_bounds = false;
@@ -559,10 +556,10 @@ TEST(BudgetEngine, SweepDegradesToBoundsThatBracketTheExactSweep) {
     const api::Engine::SweepPoint& point = governed.points[i];
     const BigRational& truth = exact.points[i].value;
     SCOPED_TRACE("n=" + std::to_string(point.domain_size));
-    if (point.outcome == api::Outcome::kExact) {
+    if (point.outcome == Outcome::kExact) {
       EXPECT_EQ(point.value, truth);
     } else {
-      ASSERT_EQ(point.outcome, api::Outcome::kBounds);
+      ASSERT_EQ(point.outcome, Outcome::kBounds);
       ASSERT_TRUE(point.bounds.has_value());
       EXPECT_LE(point.bounds->lower, truth);
       EXPECT_LE(truth, point.bounds->upper);
@@ -570,37 +567,95 @@ TEST(BudgetEngine, SweepDegradesToBoundsThatBracketTheExactSweep) {
     }
   }
   EXPECT_TRUE(any_bounds);
-  EXPECT_EQ(governed.outcome, api::Outcome::kBounds);
+  EXPECT_EQ(governed.outcome, Outcome::kBounds);
   EXPECT_EQ(governed.stop_reason, StopReason::kDecisions);
 }
 
-TEST(BudgetEngine, TryCompileDiscardsPartialTraceAndCompileThrows) {
+TEST(BudgetEngine, CompileDiscardsPartialTrace) {
   logic::Vocabulary vocab;
   logic::Formula phi = logic::Parse(
       "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
+  api::Engine engine(vocab);
 
   runtime::Budget budget;
   budget.SetMaxDecisions(0);
-  api::Engine::Options options;
-  options.budget = &budget;
-  api::Engine engine(vocab, options);
-
-  api::Engine::CompileResult result = engine.TryCompile(phi, 3);
-  EXPECT_EQ(result.outcome, api::Outcome::kAborted);
+  api::CompileOptions options{3, api::Method::kGrounded, {&budget}};
+  api::CompileResult result = engine.Compile(phi, options);
+  EXPECT_EQ(result.outcome, Outcome::kAborted);
   EXPECT_EQ(result.stop_reason, StopReason::kDecisions);
   EXPECT_FALSE(result.compiled.has_value());
-
-  EXPECT_THROW(engine.Compile(phi, 3), std::runtime_error);
 
   // The same engine with the cap lifted compiles fine — governance is
   // per-budget state, not a poisoned engine.
   budget.SetMaxDecisions(runtime::Budget::kUnlimited);
-  api::Engine::CompileResult retry = engine.TryCompile(phi, 3);
-  ASSERT_EQ(retry.outcome, api::Outcome::kExact);
+  api::CompileResult retry = engine.Compile(phi, options);
+  ASSERT_EQ(retry.outcome, Outcome::kExact);
   ASSERT_TRUE(retry.compiled.has_value());
-  api::Engine ungoverned(vocab);
   EXPECT_EQ(retry.compiled->compile_count(),
-            ungoverned.WFOMC(phi, 3, api::Method::kGrounded).value);
+            engine.WFOMC(phi, 3, api::Method::kGrounded).value);
+}
+
+// Each governance arm, passed per call, must reach the counter through
+// every engine entry point: WFOMC and WFOMCSweep degrade to certified
+// bounds, Compile discards its partial trace.
+TEST(BudgetEngine, PerCallGovernanceReachesEveryEntryPoint) {
+  logic::Vocabulary vocab;
+  logic::Formula phi = logic::Parse(
+      "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
+  api::Engine engine(vocab);
+  const BigRational exact =
+      engine.WFOMC(phi, 3, api::Method::kGrounded).value;
+
+  enum class Arm { kDecisionCap, kCancelToken, kFaultPoint };
+  for (Arm arm : {Arm::kDecisionCap, Arm::kCancelToken, Arm::kFaultPoint}) {
+    SCOPED_TRACE("arm " + std::to_string(static_cast<int>(arm)));
+    StopReason want = arm == Arm::kDecisionCap ? StopReason::kDecisions
+                                               : StopReason::kCancelled;
+    // Fresh governance objects per call: a fault point fires only once.
+    auto governed = [arm](const auto& call) {
+      Budget budget;
+      budget.SetMaxDecisions(0);
+      CancelToken token;
+      token.RequestCancel();
+      FaultPoint fault(FaultPoint::Site::kDecision,
+                       FaultPoint::Action::kCancel, 1);
+      runtime::Governance governance;
+      switch (arm) {
+        case Arm::kDecisionCap: governance.budget = &budget; break;
+        case Arm::kCancelToken: governance.cancel = &token; break;
+        case Arm::kFaultPoint: governance.fault = &fault; break;
+      }
+      call(governance);
+    };
+
+    governed([&](const runtime::Governance& governance) {
+      api::Engine::Result result =
+          engine.WFOMC(phi, 3, api::Method::kGrounded, governance);
+      EXPECT_EQ(result.outcome, Outcome::kBounds);
+      EXPECT_EQ(result.stop_reason, want);
+      ASSERT_TRUE(result.bounds.has_value());
+      EXPECT_LE(result.bounds->lower, exact);
+      EXPECT_LE(exact, result.bounds->upper);
+    });
+    governed([&](const runtime::Governance& governance) {
+      api::Engine::SweepResult sweep =
+          engine.WFOMCSweep(phi, 3, 4, api::Method::kGrounded, governance);
+      EXPECT_EQ(sweep.outcome, Outcome::kBounds);
+      EXPECT_EQ(sweep.stop_reason, want);
+      ASSERT_FALSE(sweep.points.empty());
+      EXPECT_EQ(sweep.points.front().outcome, Outcome::kBounds);
+    });
+    governed([&](const runtime::Governance& governance) {
+      api::CompileResult result = engine.Compile(
+          phi, api::CompileOptions{3, api::Method::kGrounded, governance});
+      EXPECT_EQ(result.outcome, Outcome::kAborted);
+      EXPECT_EQ(result.stop_reason, want);
+      EXPECT_FALSE(result.compiled.has_value());
+    });
+  }
+  // Per-call governance leaves the shared engine ungoverned.
+  EXPECT_EQ(engine.WFOMC(phi, 3, api::Method::kGrounded).outcome,
+            Outcome::kExact);
 }
 
 }  // namespace

@@ -281,6 +281,26 @@ TEST(LiftedCompile, LiftedCircuitRejectsEmptyDomain) {
                std::invalid_argument);
 }
 
+TEST(LiftedCompile, AutoRoutingCompilesAnEmptyDomainGrounded) {
+  // A lifted circuit is valid for n >= 1 only, so an auto compile pinned
+  // at n = 0 must take the grounded compiler. (Regression: it compiled a
+  // lifted circuit that then refused to evaluate at its own domain size.)
+  Engine engine{logic::Vocabulary{}};
+  logic::Formula f = engine.Parse("forall x exists y S(x,y)");
+  EXPECT_TRUE(engine.CanCompileLifted(f));
+  EXPECT_TRUE(engine.CanCompileLifted(f, 1));
+  EXPECT_FALSE(engine.CanCompileLifted(f, 0));
+  CompileOptions options;
+  options.domain_size = 0;
+  CompileResult result = engine.Compile(f, options);
+  ASSERT_TRUE(result.compiled.has_value());
+  EXPECT_EQ(result.method, Method::kGrounded);
+  EXPECT_EQ(result.compiled->kind(), CompiledQuery::Kind::kGrounded);
+  EXPECT_EQ(result.compiled->Evaluate(0, {}), BigRational(1));
+  EXPECT_EQ(result.compiled->Evaluate(0, {}),
+            engine.WFOMC(f, 0, Method::kLiftedFO2).value);
+}
+
 TEST(LiftedCompile, MemoryBytesAccountsForVocabularyStrings) {
   // Two structurally identical compiles whose only difference is the
   // length of a relation name: the byte accounting the serve LRU trusts

@@ -51,6 +51,13 @@ using wmc::WeightMap;
 
 constexpr std::uint64_t kDefaultBaseSeed = 1;
 
+// The grounded circuit of `sentence` at domain size n (throws when the
+// compile does not finish).
+CompiledQuery CompileGrounded(Engine* engine, const logic::Formula& sentence,
+                              std::uint64_t n) {
+  return engine->Compile(sentence, {n, Method::kGrounded}).compiled.value();
+}
+
 std::uint64_t BaseSeed() {
   static std::uint64_t seed = [] {
     std::uint64_t value = FuzzBaseSeed(kDefaultBaseSeed);
@@ -109,12 +116,14 @@ TEST(Compile, GoldenCorpusBitIdenticalAcrossWeightRegimes) {
     SCOPED_TRACE(path);
     ModelSpec spec = io::LoadModelFile(path);
     Engine engine(spec.vocabulary);
-    CompiledQuery compiled = engine.Compile(spec.sentence, spec.domain_hi);
+    CompiledQuery compiled =
+        CompileGrounded(&engine, spec.sentence, spec.domain_hi);
 
     // The compile-time count is the grounded count; the corpus pins it.
     ASSERT_TRUE(spec.expect.has_value());
     EXPECT_EQ(compiled.compile_count(), *spec.expect);
-    EXPECT_EQ(compiled.Evaluate(), compiled.compile_count());
+    EXPECT_EQ(compiled.Evaluate(spec.domain_hi, {}),
+              compiled.compile_count());
 
     // Structural d-DNNF audit.
     std::string violation;
@@ -129,7 +138,7 @@ TEST(Compile, GoldenCorpusBitIdenticalAcrossWeightRegimes) {
                               weights.positive, weights.negative);
       }
       Engine recount(reweighted);
-      EXPECT_EQ(compiled.Evaluate(regime),
+      EXPECT_EQ(compiled.Evaluate(spec.domain_hi, regime),
                 recount.WFOMC(spec.sentence, spec.domain_hi,
                               Method::kGrounded)
                     .value)
@@ -147,7 +156,7 @@ TEST(Compile, SharesCacheHitSubcircuits) {
   logic::Formula sentence = logic::Parse(
       "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocabulary);
   Engine engine(vocabulary);
-  CompiledQuery compiled = engine.Compile(sentence, 3);
+  CompiledQuery compiled = CompileGrounded(&engine, sentence, 3);
   EXPECT_GT(compiled.compile_stats().cache_hits, 0u);
   EXPECT_EQ(compiled.compile_stats().cache_entries,
             compiled.compile_stats().cache_insertions);
@@ -421,10 +430,10 @@ TEST(CompiledQuery, RejectsUnknownRelation) {
   logic::Vocabulary vocabulary;
   logic::Formula sentence = logic::Parse("forall x R(x)", &vocabulary);
   Engine engine(vocabulary);
-  CompiledQuery compiled = engine.Compile(sentence, 2);
-  EXPECT_THROW(
-      compiled.Evaluate({{"NoSuchRelation", BigRational(1), BigRational(1)}}),
-      std::invalid_argument);
+  CompiledQuery compiled = CompileGrounded(&engine, sentence, 2);
+  EXPECT_THROW(compiled.Evaluate(
+                   2, {{"NoSuchRelation", BigRational(1), BigRational(1)}}),
+               std::invalid_argument);
 }
 
 TEST(CompiledQuery, ReweightSweepMatchesEngine) {
@@ -434,7 +443,7 @@ TEST(CompiledQuery, ReweightSweepMatchesEngine) {
   logic::Formula sentence =
       logic::Parse("forall x exists y S(x,y)", &vocabulary);
   Engine engine(vocabulary);
-  CompiledQuery compiled = engine.Compile(sentence, 3);
+  CompiledQuery compiled = CompileGrounded(&engine, sentence, 3);
   for (std::int64_t k = -2; k <= 2; ++k) {
     std::vector<RelationWeights> regime = {
         {"S", BigRational(k), BigRational::Fraction(1, 3)}};
@@ -442,7 +451,7 @@ TEST(CompiledQuery, ReweightSweepMatchesEngine) {
     reweighted.SetWeights(reweighted.Require("S"), BigRational(k),
                           BigRational::Fraction(1, 3));
     Engine recount(reweighted);
-    EXPECT_EQ(compiled.Evaluate(regime),
+    EXPECT_EQ(compiled.Evaluate(3, regime),
               recount.WFOMC(sentence, 3, Method::kGrounded).value)
         << "k=" << k;
   }

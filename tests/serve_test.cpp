@@ -266,7 +266,7 @@ TEST(Serve, BudgetExhaustedCompileFallsBackToCertifiedBounds) {
 
 TEST(Serve, RequestBudgetOverridesTheServerDefault) {
   ServerOptions options;
-  options.max_decisions = 0;  // default envelope: nothing completes
+  options.limits.max_decisions = 0;  // default envelope: nothing completes
   Server server(options);
   const std::string triangle =
       R"js("exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))")js";
