@@ -18,8 +18,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "api/engine.h"
 #include "closedforms/closed_forms.h"
-#include "fo2/cell_algorithm.h"
 #include "logic/parser.h"
 
 namespace {
@@ -57,9 +57,11 @@ void PrintTable() {
   for (const Sentence& s : sentences) {
     swfomc::logic::Vocabulary vocab = UnitVocabulary();
     swfomc::logic::Formula phi = swfomc::logic::ParseStrict(s.text, vocab);
+    swfomc::api::Engine engine(vocab);
     std::printf("%-46s %-10s", s.text, s.expected_limit);
     for (std::uint64_t n = 1; n <= s.max_n; n *= 2) {
-      BigRational mu = swfomc::fo2::LiftedProbability(phi, vocab, n);
+      BigRational mu =
+          engine.Probability(phi, n, swfomc::api::Method::kLiftedFO2);
       std::printf(" %.6f", ToDouble(mu));
     }
     std::printf("\n");
@@ -85,8 +87,10 @@ void BM_ZeroOne_LiftedMu(benchmark::State& state) {
   swfomc::logic::Vocabulary vocab = UnitVocabulary();
   swfomc::logic::Formula phi =
       swfomc::logic::ParseStrict("forall x exists y R(x,y)", vocab);
+  swfomc::api::Engine engine(vocab);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(swfomc::fo2::LiftedProbability(phi, vocab, n));
+    benchmark::DoNotOptimize(
+        engine.Probability(phi, n, swfomc::api::Method::kLiftedFO2));
   }
 }
 BENCHMARK(BM_ZeroOne_LiftedMu)->Arg(4)->Arg(8)->Arg(16)->Arg(32);

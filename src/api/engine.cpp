@@ -7,7 +7,6 @@
 #include "cq/acyclicity.h"
 #include "cq/gamma_evaluator.h"
 #include "fo2/cell_algorithm.h"
-#include "fo2/fo2_normal_form.h"
 #include "grounding/grounded_wfomc.h"
 #include "grounding/lineage.h"
 #include "grounding/tuple_index.h"
@@ -62,34 +61,6 @@ std::optional<cq::ConjunctiveQuery> AsConjunctiveQuery(
   return query;
 }
 
-// The γ-acyclic evaluator's inputs, extracted once per call: the
-// conjunctive query plus each relation's weight pair. Shared by WFOMC
-// and WFOMCSweep so their fragment checks and weight handling cannot
-// diverge. Throws std::invalid_argument (prefixed with `who`) when the
-// sentence is not a conjunctive query.
-struct GammaQueryInputs {
-  cq::ConjunctiveQuery query;
-  std::map<std::string, std::pair<BigRational, BigRational>> weights;
-};
-
-GammaQueryInputs RequireGammaAcyclicQuery(const Formula& sentence,
-                                          const logic::Vocabulary& vocabulary,
-                                          const char* who) {
-  auto query = AsConjunctiveQuery(sentence, vocabulary);
-  if (!query.has_value()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": sentence is not a conjunctive query");
-  }
-  GammaQueryInputs inputs;
-  for (const auto& atom : query->atoms()) {
-    logic::RelationId id = vocabulary.Require(atom.relation);
-    inputs.weights[atom.relation] = {vocabulary.positive_weight(id),
-                                     vocabulary.negative_weight(id)};
-  }
-  inputs.query = *std::move(query);
-  return inputs;
-}
-
 // Forces every relation's weights to (1, 1) for the lifetime of the
 // guard; the original vocabulary is restored on scope exit, including
 // when the guarded computation throws.
@@ -125,21 +96,6 @@ wmc::DpllCounter::Options CounterOptions(const Engine::Options& engine,
   options.trace = engine.trace;
   options.trace_query_id = query_id;
   return options;
-}
-
-// Stores a grounded count into a Result or SweepPoint: the value when
-// exact, the certified bounds (value = lower) when bounded, neither when
-// aborted.
-template <typename Answer>
-void StoreCount(wmc::DpllCounter::CountResult counted, Answer* answer) {
-  answer->outcome = counted.outcome;
-  answer->stop_reason = counted.stop_reason;
-  if (counted.outcome == Outcome::kBounds) {
-    answer->bounds = BoundsResult{counted.value, std::move(counted.upper)};
-  }
-  if (counted.outcome != Outcome::kAborted) {
-    answer->value = std::move(counted.value);
-  }
 }
 
 // Method names as metric-name fragments ('-' is not a valid metric
@@ -237,7 +193,6 @@ Method Engine::Route(const logic::Formula& sentence) const {
 RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
   // Rejection evidence for the grounded fallback's reason line.
   std::string cq_obstacle;
-  std::string fo2_obstacle;
 
   // γ-acyclic CQ path: needs probability conversion, so w + w̄ != 0.
   if (auto query = AsConjunctiveQuery(sentence, vocabulary_)) {
@@ -266,33 +221,12 @@ RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
     cq_obstacle = "not an existential conjunctive query";
   }
 
-  if (!logic::IsSentence(sentence)) {
-    fo2_obstacle = "not a sentence (free variables)";
-  } else if (!logic::InFragmentFOk(sentence, 2)) {
-    fo2_obstacle = "uses more than 2 variables";
-  } else if (vocabulary_.MaxArity() > 2) {
-    fo2_obstacle = "vocabulary has a relation of arity > 2";
-  } else {
-    // Constants also exclude the lifted path; scan for them here (the
-    // same check ToUniversalForm performs) so routing stays cheap.
-    std::function<bool(const Formula&)> has_constant =
-        [&](const Formula& f) {
-          for (const logic::Term& t : f->arguments()) {
-            if (t.IsConstant()) return true;
-          }
-          for (const Formula& child : f->children()) {
-            if (has_constant(child)) return true;
-          }
-          return false;
-        };
-    if (has_constant(sentence)) {
-      fo2_obstacle = "contains constants";
-    } else {
-      return RouteDecision{
-          Method::kLiftedFO2,
-          "FO² sentence over arity <= 2 without constants "
-          "(Appendix C cell algorithm, PTIME data complexity)"};
-    }
+  const char* fo2_obstacle = fo2::LiftabilityObstacle(sentence, vocabulary_);
+  if (fo2_obstacle == nullptr) {
+    return RouteDecision{
+        Method::kLiftedFO2,
+        "FO² sentence over arity <= 2 without constants "
+        "(Appendix C cell algorithm, PTIME data complexity)"};
   }
 
   return RouteDecision{Method::kGrounded,
@@ -306,35 +240,14 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
   if (method == Method::kAuto) method = Route(sentence);
   QueryScope scope(options_, "wfomc", method);
   scope.span.Num("n", domain_size);
-  Result result = [&]() -> Result {
-    Result result;
-    result.method = method;
-    switch (method) {
-      case Method::kLiftedFO2:
-        result.value = fo2::LiftedWFOMC(sentence, vocabulary_, domain_size);
-        return result;
-      case Method::kGammaAcyclic: {
-        auto [query, weights] =
-            RequireGammaAcyclicQuery(sentence, vocabulary_, "Engine::WFOMC");
-        result.value = cq::GammaAcyclicWFOMC(query, domain_size, weights);
-        return result;
-      }
-      case Method::kGrounded: {
-        wmc::DpllCounter::Stats stats;
-        StoreCount(grounding::GroundedWFOMCBounded(
-                       sentence, vocabulary_, domain_size,
-                       CounterOptions(options_, options_.num_threads,
-                                      governance, scope.query_id),
-                       &stats),
-                   &result);
-        result.grounded_stats = stats;
-        return result;
-      }
-      case Method::kAuto:
-        break;
-    }
-    throw std::logic_error("Engine::WFOMC: unreachable");
-  }();
+  Result result;
+  result.method = method;
+  result.domain_size = domain_size;
+  SweepPoint& point = result;
+  wmc::DpllCounter::Stats stats;
+  CountPoints(sentence, method, governance, "Engine::WFOMC", scope.query_id,
+              {&point, 1}, &stats);
+  if (method == Method::kGrounded) result.grounded_stats = stats;
   scope.span.Str("outcome", ToString(result.outcome));
   return result;
 }
@@ -358,36 +271,67 @@ Engine::SweepResult Engine::WFOMCSweep(
   for (std::size_t i = 0; i < sweep.points.size(); ++i) {
     sweep.points[i].domain_size = n_lo + i;
   }
+  CountPoints(sentence, method, governance, "Engine::WFOMCSweep",
+              scope.query_id, sweep.points, nullptr);
+  for (const SweepPoint& point : sweep.points) {
+    if (point.outcome == Outcome::kAborted ||
+        (point.outcome == Outcome::kBounds &&
+         sweep.outcome == Outcome::kExact)) {
+      sweep.outcome = point.outcome;
+    }
+    if (sweep.stop_reason == runtime::StopReason::kNone) {
+      sweep.stop_reason = point.stop_reason;
+    }
+  }
+  return sweep;
+}
+
+void Engine::CountPoints(const logic::Formula& sentence, Method method,
+                         const runtime::Governance& governance,
+                         const char* who, std::uint64_t query_id,
+                         std::span<SweepPoint> points,
+                         wmc::DpllCounter::Stats* stats) {
   switch (method) {
     case Method::kLiftedFO2: {
-      // One normal-form construction and one Pascal-row table for the
-      // whole sweep; each point still runs the full composition sum. The
-      // form is built lazily at the first n >= 1 point so a sweep that
-      // only touches n = 0 behaves exactly like the per-point WFOMC call
-      // (which evaluates n = 0 directly, without the normal form).
-      std::optional<fo2::UniversalForm> form;
+      // One lifted circuit, Pascal-row table and value column per call,
+      // evaluated at every n >= 1. At n = 0 the normal form behind the
+      // circuit is invalid, so that point enumerates the 0-ary worlds
+      // directly; the compile waits for the first n >= 1 point so an
+      // n = 0 call never runs it.
+      std::optional<nnf::LiftedCircuit> circuit;
+      nnf::LiftedCircuit::Weights weights;
       numeric::BinomialTable binomials;
-      for (SweepPoint& point : sweep.points) {
+      std::vector<BigRational> values;
+      for (SweepPoint& point : points) {
         if (point.domain_size == 0) {
           point.value = fo2::LiftedWFOMC(sentence, vocabulary_, 0);
           continue;
         }
-        if (!form.has_value()) {
-          form = fo2::ToUniversalForm(sentence, vocabulary_);
+        if (!circuit.has_value()) {
+          circuit = fo2::CompileLifted(sentence, vocabulary_);
+          weights = circuit->DefaultWeights();
         }
-        point.value =
-            fo2::CellAlgorithmWFOMC(*form, point.domain_size, &binomials);
+        point.value = circuit->Evaluate(point.domain_size, weights,
+                                        &binomials, &values);
       }
-      return sweep;
+      return;
     }
     case Method::kGammaAcyclic: {
-      auto [query, weights] =
-          RequireGammaAcyclicQuery(sentence, vocabulary_, "Engine::WFOMCSweep");
-      for (SweepPoint& point : sweep.points) {
-        point.value =
-            cq::GammaAcyclicWFOMC(query, point.domain_size, weights);
+      auto query = AsConjunctiveQuery(sentence, vocabulary_);
+      if (!query.has_value()) {
+        throw std::invalid_argument(std::string(who) +
+                                    ": sentence is not a conjunctive query");
       }
-      return sweep;
+      std::map<std::string, std::pair<BigRational, BigRational>> weights;
+      for (const auto& atom : query->atoms()) {
+        logic::RelationId id = vocabulary_.Require(atom.relation);
+        weights[atom.relation] = {vocabulary_.positive_weight(id),
+                                  vocabulary_.negative_weight(id)};
+      }
+      for (SweepPoint& point : points) {
+        point.value = cq::GammaAcyclicWFOMC(*query, point.domain_size, weights);
+      }
+      return;
     }
     case Method::kGrounded: {
       // Sweep points are independent grounded counts, so they run
@@ -398,49 +342,50 @@ Engine::SweepResult Engine::WFOMCSweep(
       // by all points together, so which points degrade to bounds can
       // vary with the schedule (the bracket guarantee holds per point
       // regardless).
-      auto count_point = [this, &sentence, &governance, &scope](
-                             SweepPoint* point, unsigned point_threads) {
-        StoreCount(grounding::GroundedWFOMCBounded(
-                       sentence, vocabulary_, point->domain_size,
-                       CounterOptions(options_, point_threads, governance,
-                                      scope.query_id)),
-                   point);
+      auto count_point = [&](SweepPoint* point, unsigned point_threads,
+                             wmc::DpllCounter::Stats* point_stats) {
+        wmc::DpllCounter::CountResult counted =
+            grounding::GroundedWFOMCBounded(
+                sentence, vocabulary_, point->domain_size,
+                CounterOptions(options_, point_threads, governance, query_id),
+                point_stats);
+        // The value when exact, the certified bounds (value = lower)
+        // when bounded, neither when aborted.
+        point->outcome = counted.outcome;
+        point->stop_reason = counted.stop_reason;
+        if (counted.outcome == Outcome::kBounds) {
+          point->bounds = BoundsResult{counted.value, std::move(counted.upper)};
+        }
+        if (counted.outcome != Outcome::kAborted) {
+          point->value = std::move(counted.value);
+        }
       };
       unsigned threads =
           runtime::ThreadPool::ResolveThreadCount(options_.num_threads);
-      if (threads <= 1 || sweep.points.size() == 1) {
+      if (threads <= 1 || points.size() == 1) {
         // Sequential across points — but forward num_threads so a
         // single-point sweep still parallelizes *inside* the counter,
         // exactly like the equivalent WFOMC call.
-        for (SweepPoint& point : sweep.points) {
-          count_point(&point, options_.num_threads);
+        for (SweepPoint& point : points) {
+          count_point(&point, options_.num_threads, stats);
         }
       } else {
         runtime::ThreadPool pool(
             threads, runtime::ThreadPool::Metrics::FromRegistry(
                          options_.metrics));
         runtime::TaskGroup group(&pool);
-        for (SweepPoint& point : sweep.points) {
-          group.Submit([&count_point, &point] { count_point(&point, 1); });
+        for (SweepPoint& point : points) {
+          group.Submit(
+              [&count_point, &point] { count_point(&point, 1, nullptr); });
         }
         group.Wait();
       }
-      for (const SweepPoint& point : sweep.points) {
-        if (point.outcome == Outcome::kAborted ||
-            (point.outcome == Outcome::kBounds &&
-             sweep.outcome == Outcome::kExact)) {
-          sweep.outcome = point.outcome;
-        }
-        if (sweep.stop_reason == runtime::StopReason::kNone) {
-          sweep.stop_reason = point.stop_reason;
-        }
-      }
-      return sweep;
+      return;
     }
     case Method::kAuto:
       break;
   }
-  throw std::logic_error("Engine::WFOMCSweep: unreachable");
+  throw std::logic_error(std::string(who) + ": unreachable");
 }
 
 std::size_t CompiledQuery::MemoryBytes() const {
@@ -478,15 +423,7 @@ nnf::LiftedCircuit::Weights CompiledQuery::LiftedWeights(
   // replacements resolved against the snapshot apply by id, and the
   // appended Def/Sk predicates keep their fixed (1,1)/(1,-1) weights.
   nnf::LiftedCircuit::Weights weights = lifted_circuit_.DefaultWeights();
-  for (const RelationWeights& reweight : reweights) {
-    auto id = vocabulary_.Find(reweight.relation);
-    if (!id.has_value()) {
-      throw std::invalid_argument(
-          "CompiledQuery::Evaluate: unknown relation '" + reweight.relation +
-          "'");
-    }
-    weights[*id] = {reweight.positive, reweight.negative};
-  }
+  OverlayReweights(reweights, &weights);
   return weights;
 }
 
@@ -500,12 +437,24 @@ wmc::WeightMap CompiledQuery::GroundWeights(
   // Start from the compile-time per-relation weights, overlay the
   // replacements, then expand per ground tuple. Tseitin auxiliaries
   // (ids >= tuple_count()) keep the WeightMap default (1, 1).
-  std::vector<std::pair<BigRational, BigRational>> by_relation;
+  nnf::LiftedCircuit::Weights by_relation;
   by_relation.reserve(vocabulary_.size());
   for (logic::RelationId id = 0; id < vocabulary_.size(); ++id) {
     by_relation.emplace_back(vocabulary_.positive_weight(id),
                              vocabulary_.negative_weight(id));
   }
+  OverlayReweights(reweights, &by_relation);
+  wmc::WeightMap weights(circuit_.variable_count());
+  for (prop::VarId v = 0; v < variable_relation_.size(); ++v) {
+    const auto& [positive, negative] = by_relation[variable_relation_[v]];
+    weights.Set(v, positive, negative);
+  }
+  return weights;
+}
+
+void CompiledQuery::OverlayReweights(
+    const std::vector<RelationWeights>& reweights,
+    nnf::LiftedCircuit::Weights* weights) const {
   for (const RelationWeights& reweight : reweights) {
     auto id = vocabulary_.Find(reweight.relation);
     if (!id.has_value()) {
@@ -513,14 +462,8 @@ wmc::WeightMap CompiledQuery::GroundWeights(
           "CompiledQuery::Evaluate: unknown relation '" + reweight.relation +
           "'");
     }
-    by_relation[*id] = {reweight.positive, reweight.negative};
+    (*weights)[*id] = {reweight.positive, reweight.negative};
   }
-  wmc::WeightMap weights(circuit_.variable_count());
-  for (prop::VarId v = 0; v < variable_relation_.size(); ++v) {
-    const auto& [positive, negative] = by_relation[variable_relation_[v]];
-    weights.Set(v, positive, negative);
-  }
-  return weights;
 }
 
 bool Engine::CanCompileLifted(
@@ -630,21 +573,12 @@ numeric::BigInt Engine::FOMC(const logic::Formula& sentence,
 numeric::BigRational Engine::Probability(const logic::Formula& sentence,
                                          std::uint64_t domain_size,
                                          Method method) {
-  BigRational numerator = WFOMC(sentence, domain_size, method).value;
-  BigRational normalizer(1);
-  for (logic::RelationId id = 0; id < vocabulary_.size(); ++id) {
-    std::uint64_t tuples = 1;
-    for (std::size_t i = 0; i < vocabulary_.arity(id); ++i) {
-      tuples *= domain_size;
-    }
-    BigRational total =
-        vocabulary_.positive_weight(id) + vocabulary_.negative_weight(id);
-    normalizer *= BigRational::Pow(total, static_cast<std::int64_t>(tuples));
-  }
+  BigRational normalizer =
+      grounding::ProbabilityNormalizer(vocabulary_, domain_size);
   if (normalizer.IsZero()) {
     throw std::domain_error("Engine::Probability: zero normalizer");
   }
-  return numerator / normalizer;
+  return WFOMC(sentence, domain_size, method).value / normalizer;
 }
 
 numeric::BigRational Engine::Mu(const logic::Formula& sentence,

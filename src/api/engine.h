@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,8 @@ namespace swfomc::api {
 /// Which algorithm answered a query.
 enum class Method {
   kAuto,          // request: let the engine route
-  kLiftedFO2,     // Appendix C cell algorithm (PTIME data complexity)
+  kLiftedFO2,     // Appendix C cell algorithm as a compiled lifted
+                  // circuit (PTIME data complexity)
   kGammaAcyclic,  // Theorem 3.6 evaluator
   kGrounded,      // lineage + Tseitin + DPLL counter (exponential)
 };
@@ -143,6 +145,12 @@ class CompiledQuery {
   nnf::LiftedCircuit::Weights LiftedWeights(
       const std::vector<RelationWeights>& reweights) const;
 
+  /// Writes each replacement into `weights` (indexed by relation id),
+  /// resolving names against the compile-time vocabulary; throws
+  /// std::invalid_argument for an unknown relation.
+  void OverlayReweights(const std::vector<RelationWeights>& reweights,
+                        nnf::LiftedCircuit::Weights* weights) const;
+
   Kind kind_ = Kind::kGrounded;
   nnf::Circuit circuit_;
   nnf::LiftedCircuit lifted_circuit_;
@@ -187,7 +195,9 @@ struct CompileResult {
 /// The library facade: one entry point for symmetric WFOMC over a weighted
 /// vocabulary. `Auto` routing sends
 ///   * FO² sentences (arity <= 2, no constants) to the lifted cell
-///     algorithm,
+///     algorithm, run as a compiled lifted circuit (fo2::CompileLifted
+///     plus nnf::LiftedCircuit::Evaluate — the same circuit Compile
+///     returns),
 ///   * existentially-quantified conjunctions of distinct positive atoms
 ///     whose hypergraph is γ-acyclic to the Theorem 3.6 evaluator,
 ///   * everything else to the grounded DPLL engine.
@@ -219,35 +229,34 @@ class Engine {
   /// Parses a sentence against (and possibly extending) the vocabulary.
   logic::Formula Parse(const std::string& text);
 
-  struct Result {
+  /// One answered domain size: WFOMC(Φ, n) and how its count ended.
+  struct SweepPoint {
+    std::uint64_t domain_size = 0;
     /// The exact count when `outcome` is kExact; the certified lower
     /// bound (== bounds->lower) for kBounds; zero for kAborted.
     numeric::BigRational value;
-    Method method = Method::kGrounded;
     Outcome outcome = Outcome::kExact;
     /// Set exactly when `outcome` is kBounds.
     std::optional<BoundsResult> bounds;
     /// Why a governed query stopped (kNone when it ran to completion).
     runtime::StopReason stop_reason = runtime::StopReason::kNone;
+  };
+
+  /// A single-point answer: the point plus which algorithm answered it.
+  struct Result : SweepPoint {
+    Method method = Method::kGrounded;
     /// The DPLL counter's search/cache counters when `method` was
     /// kGrounded (the lifted paths never run the counter).
     std::optional<wmc::DpllCounter::Stats> grounded_stats;
   };
 
-  /// Symmetric WFOMC(Φ, n, w, w̄). A grounded search stopped by
-  /// `governance` reports Outcome::kBounds (or kAborted) instead of
-  /// spinning.
+  /// Symmetric WFOMC(Φ, n, w, w̄): the one-point WFOMCSweep, plus the
+  /// grounded counter's stats. A grounded search stopped by `governance`
+  /// reports Outcome::kBounds (or kAborted) instead of spinning.
   Result WFOMC(const logic::Formula& sentence, std::uint64_t domain_size,
                Method method = Method::kAuto,
                const runtime::Governance& governance = {});
 
-  struct SweepPoint {
-    std::uint64_t domain_size = 0;
-    numeric::BigRational value;
-    Outcome outcome = Outcome::kExact;
-    std::optional<BoundsResult> bounds;
-    runtime::StopReason stop_reason = runtime::StopReason::kNone;
-  };
   struct SweepResult {
     Method method = Method::kGrounded;
     /// kExact when every point is exact; else the worst point outcome
@@ -262,8 +271,8 @@ class Engine {
   /// Batched WFOMC(Φ, n, w, w̄) for every n in [n_lo, n_hi] — the
   /// domain-size sweep the paper's experiments run. Routes once and
   /// reuses the shared structure a point-by-point loop rebuilds:
-  ///   * lifted FO²: the universal (Scott/Skolem) normal form is
-  ///     constructed once and one binomial table serves every point;
+  ///   * lifted FO²: the sentence is compiled into one lifted circuit
+  ///     and one binomial table serves every point's evaluation;
   ///   * γ-acyclic: the conjunctive query and its weight map are
   ///     extracted once;
   ///   * grounded: sweep points are independent and run concurrently on
@@ -329,6 +338,15 @@ class Engine {
   RouteDecision ExplainRoute(const logic::Formula& sentence) const;
 
  private:
+  /// The one route switch behind WFOMC and WFOMCSweep: fills every
+  /// point's answer (its domain_size preset) by `method` (not kAuto).
+  /// `who` prefixes error messages; `stats`, when non-null, receives a
+  /// grounded count's counters.
+  void CountPoints(const logic::Formula& sentence, Method method,
+                   const runtime::Governance& governance, const char* who,
+                   std::uint64_t query_id, std::span<SweepPoint> points,
+                   wmc::DpllCounter::Stats* stats);
+
   logic::Vocabulary vocabulary_;
   Options options_;
 };

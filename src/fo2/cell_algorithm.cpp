@@ -161,13 +161,6 @@ BigRational SolveWithShannon(Formula matrix,
 
 numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
                                         std::uint64_t domain_size,
-                                        CellStats* stats) {
-  numeric::BinomialTable binomials;
-  return CellAlgorithmWFOMC(form, domain_size, &binomials, stats);
-}
-
-numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
-                                        std::uint64_t domain_size,
                                         numeric::BinomialTable* binomials,
                                         CellStats* stats) {
   if (domain_size == 0) {
@@ -191,6 +184,8 @@ numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
     if (form.vocabulary.arity(id) == 0) zeroary.push_back(id);
   }
   if (stats != nullptr) stats->zeroary_predicates = zeroary.size();
+  numeric::BinomialTable local_binomials;
+  if (binomials == nullptr) binomials = &local_binomials;
   return SolveWithShannon(form.matrix, form.vocabulary, zeroary, 0,
                           domain_size, binomials, stats);
 }
@@ -213,7 +208,7 @@ numeric::BigRational LiftedWFOMC(const logic::Formula& sentence,
     return result;
   }
   UniversalForm form = ToUniversalForm(sentence, vocabulary);
-  return CellAlgorithmWFOMC(form, domain_size, stats);
+  return CellAlgorithmWFOMC(form, domain_size, nullptr, stats);
 }
 
 numeric::BigInt LiftedFOMC(const logic::Formula& sentence,
@@ -224,26 +219,6 @@ numeric::BigInt LiftedFOMC(const logic::Formula& sentence,
     unweighted.SetWeights(id, 1, 1);
   }
   return LiftedWFOMC(sentence, unweighted, domain_size).ToInteger();
-}
-
-numeric::BigRational LiftedProbability(const logic::Formula& sentence,
-                                       const logic::Vocabulary& vocabulary,
-                                       std::uint64_t domain_size) {
-  BigRational numerator = LiftedWFOMC(sentence, vocabulary, domain_size);
-  BigRational normalizer(1);
-  for (RelationId id = 0; id < vocabulary.size(); ++id) {
-    std::uint64_t tuples = 1;
-    for (std::size_t i = 0; i < vocabulary.arity(id); ++i) {
-      tuples *= domain_size;
-    }
-    normalizer *= BigRational::Pow(
-        vocabulary.positive_weight(id) + vocabulary.negative_weight(id),
-        static_cast<std::int64_t>(tuples));
-  }
-  if (normalizer.IsZero()) {
-    throw std::domain_error("LiftedProbability: zero normalizer");
-  }
-  return numerator / normalizer;
 }
 
 }  // namespace swfomc::fo2

@@ -7,6 +7,15 @@
 #include "numeric/combinatorics.h"
 #include "numeric/rational.h"
 
+/// The direct (numeric) Appendix C recursion: the reference
+/// implementation the compiled lifted circuit (fo2/lifted_compiler.h) is
+/// tested against. The engine does not call it for n >= 1 — its lifted
+/// leg evaluates the compiled circuit — and uses LiftedWFOMC only at
+/// n = 0, where the normal form is invalid and the 0-ary worlds are
+/// enumerated directly. It serves the differential suites (lifted_test,
+/// fo2_test, cross_engine_test) and perfbench's per-layer decomposition
+/// of the cell algorithm (normal form, cell evaluation).
+
 namespace swfomc::fo2 {
 
 /// Instrumentation for the cell algorithm (reported by the benches).
@@ -33,17 +42,13 @@ struct CellStats {
 /// satisfying ψ(a,b) ∧ ψ(b,a). Zero-ary predicates are Shannon-expanded
 /// first (Appendix C). Runtime is polynomial in n for a fixed sentence:
 /// O(n^{C-1}) terms with C a sentence-only constant.
-numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
-                                        std::uint64_t domain_size,
-                                        CellStats* stats = nullptr);
-
-/// Same algorithm with a caller-owned binomial table, so a sweep over
-/// domain sizes builds each Pascal row once instead of once per point
-/// (Engine::WFOMCSweep reuses one table for the whole sweep).
-numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
-                                        std::uint64_t domain_size,
-                                        numeric::BinomialTable* binomials,
-                                        CellStats* stats = nullptr);
+///
+/// `binomials` is optional caller-owned scratch: a sweep over domain
+/// sizes passes one table so each Pascal row is built once, not once per
+/// point.
+numeric::BigRational CellAlgorithmWFOMC(
+    const UniversalForm& form, std::uint64_t domain_size,
+    numeric::BinomialTable* binomials = nullptr, CellStats* stats = nullptr);
 
 /// End-to-end symmetric WFOMC for an FO² sentence: normal form + cell
 /// algorithm. Throws std::invalid_argument for sentences outside the
@@ -57,12 +62,6 @@ numeric::BigRational LiftedWFOMC(const logic::Formula& sentence,
 numeric::BigInt LiftedFOMC(const logic::Formula& sentence,
                            const logic::Vocabulary& vocabulary,
                            std::uint64_t domain_size);
-
-/// Pr(Φ) over the symmetric tuple-independent distribution of the
-/// vocabulary: LiftedWFOMC / Π_tuples (w + w̄).
-numeric::BigRational LiftedProbability(const logic::Formula& sentence,
-                                       const logic::Vocabulary& vocabulary,
-                                       std::uint64_t domain_size);
 
 }  // namespace swfomc::fo2
 

@@ -19,11 +19,16 @@ struct LiftedCompileStats {
   std::size_t valid_cells = 0;  // cells whose diagonal satisfies ψ(x,x)
 };
 
-/// True when CompileLifted accepts the sentence: a sentence (no free
-/// variables) in FO² over relations of arity <= 2, without domain
-/// constants — the same fragment check Engine routes to the cell
-/// algorithm. Weight-independent: liftability is a property of the
-/// sentence and the vocabulary's arities alone.
+/// The liftable-FO² rule, written once: null when CompileLifted accepts
+/// the sentence — a sentence (no free variables) in FO² over relations
+/// of arity <= 2, without domain constants — and otherwise the first
+/// obstacle, as the phrase Engine::ExplainRoute reports. Weight-
+/// independent: liftability is a property of the sentence and the
+/// vocabulary's arities alone.
+const char* LiftabilityObstacle(const logic::Formula& sentence,
+                                const logic::Vocabulary& vocabulary);
+
+/// LiftabilityObstacle(sentence, vocabulary) == nullptr.
 bool CanCompileLifted(const logic::Formula& sentence,
                       const logic::Vocabulary& vocabulary);
 

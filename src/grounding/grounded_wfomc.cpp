@@ -121,11 +121,8 @@ numeric::BigInt ExhaustiveFOMC(const logic::Formula& sentence,
   return ExhaustiveWFOMC(sentence, unweighted, domain_size).ToInteger();
 }
 
-numeric::BigRational GroundedProbability(const logic::Formula& sentence,
-                                         const logic::Vocabulary& vocabulary,
-                                         std::uint64_t domain_size) {
-  BigRational numerator = GroundedWFOMC(sentence, vocabulary, domain_size);
-  // WFOMC(true, n, w, w̄) = Π_tuples (w + w̄).
+numeric::BigRational ProbabilityNormalizer(
+    const logic::Vocabulary& vocabulary, std::uint64_t domain_size) {
   BigRational normalizer(1);
   for (logic::RelationId id = 0; id < vocabulary.size(); ++id) {
     std::uint64_t tuples = 1;
@@ -136,10 +133,17 @@ numeric::BigRational GroundedProbability(const logic::Formula& sentence,
         vocabulary.positive_weight(id) + vocabulary.negative_weight(id);
     normalizer *= BigRational::Pow(total, static_cast<std::int64_t>(tuples));
   }
+  return normalizer;
+}
+
+numeric::BigRational GroundedProbability(const logic::Formula& sentence,
+                                         const logic::Vocabulary& vocabulary,
+                                         std::uint64_t domain_size) {
+  BigRational normalizer = ProbabilityNormalizer(vocabulary, domain_size);
   if (normalizer.IsZero()) {
     throw std::domain_error("GroundedProbability: zero normalizer");
   }
-  return numerator / normalizer;
+  return GroundedWFOMC(sentence, vocabulary, domain_size) / normalizer;
 }
 
 }  // namespace swfomc::grounding

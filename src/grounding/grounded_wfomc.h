@@ -65,6 +65,12 @@ numeric::BigInt ExhaustiveFOMC(const logic::Formula& sentence,
                                const logic::Vocabulary& vocabulary,
                                std::uint64_t domain_size);
 
+/// WFOMC(true, n, w, w̄) = Π_relations (w + w̄)^(n^arity): the
+/// normalizer of Pr(Φ) under the symmetric tuple-independent
+/// distribution of the vocabulary (shared with Engine::Probability).
+numeric::BigRational ProbabilityNormalizer(const logic::Vocabulary& vocabulary,
+                                           std::uint64_t domain_size);
+
 /// Pr(Φ) over the symmetric tuple-independent distribution induced by the
 /// vocabulary weights: WFOMC(Φ,n,w,w̄) / WFOMC(true,n,w,w̄). Throws
 /// std::domain_error when the normalizer is zero.

@@ -46,8 +46,9 @@ const numeric::BigRational* ExpectForPoint(const ModelRunReport& report,
   return nullptr;
 }
 
-}  // namespace
-
+/// Adds "outcome" and, for a computation that stopped early, its
+/// "stop_reason" to `json`: the shape every governed answer takes in the
+/// CLI reports and in serve responses.
 void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
                       runtime::StopReason stop_reason) {
   json->Add("outcome", JsonValue::MakeString(api::ToString(outcome)));
@@ -55,6 +56,26 @@ void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
     json->Add("stop_reason",
               JsonValue::MakeString(runtime::ToString(stop_reason)));
   }
+}
+
+}  // namespace
+
+void AddCountFields(JsonValue* json, const char* exact_key,
+                    api::Outcome outcome, runtime::StopReason stop_reason,
+                    const numeric::BigRational& value,
+                    const numeric::BigRational& upper) {
+  switch (outcome) {
+    case api::Outcome::kExact:
+      json->Add(exact_key, JsonValue::MakeString(value.ToString()));
+      return;
+    case api::Outcome::kBounds:
+      json->Add("lower", JsonValue::MakeString(value.ToString()));
+      json->Add("upper", JsonValue::MakeString(upper.ToString()));
+      break;
+    case api::Outcome::kAborted:
+      break;
+  }
+  AddOutcomeFields(json, outcome, stop_reason);
 }
 
 ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
@@ -99,12 +120,10 @@ ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
   } else {
     api::Engine::Result result =
         engine.WFOMC(spec.sentence, spec.domain_lo, method, governance);
-    report.points.push_back(api::Engine::SweepPoint{
-        spec.domain_lo, std::move(result.value), result.outcome,
-        std::move(result.bounds), result.stop_reason});
     report.outcome = result.outcome;
     report.stop_reason = result.stop_reason;
     report.grounded_stats = std::move(result.grounded_stats);
+    report.points.push_back(std::move(result));
   }
   report.elapsed_seconds = SecondsSince(start);
 
@@ -344,20 +363,11 @@ JsonValue ToJson(const ModelRunReport& report) {
   for (const api::Engine::SweepPoint& point : report.points) {
     JsonValue entry = JsonValue::MakeObject();
     entry.Add("n", JsonValue::MakeNumber(point.domain_size));
-    switch (point.outcome) {
-      case api::Outcome::kExact:
-        entry.Add("wfomc", JsonValue::MakeString(point.value.ToString()));
-        break;
-      case api::Outcome::kBounds:
-        entry.Add("lower",
-                  JsonValue::MakeString(point.bounds->lower.ToString()));
-        entry.Add("upper",
-                  JsonValue::MakeString(point.bounds->upper.ToString()));
-        break;
-      case api::Outcome::kAborted:
-        break;
-    }
-    if (point.outcome != api::Outcome::kExact ||
+    AddCountFields(&entry, "wfomc", point.outcome, point.stop_reason,
+                   point.value,
+                   point.bounds ? point.bounds->upper : point.value);
+    // In a sweep that did not end exact, its exact points say so too.
+    if (point.outcome == api::Outcome::kExact &&
         report.outcome != api::Outcome::kExact) {
       AddOutcomeFields(&entry, point.outcome, point.stop_reason);
     }
@@ -505,20 +515,8 @@ JsonValue ToJson(const CnfRunReport& report) {
   json.Add("variables", JsonValue::MakeNumber(
                             static_cast<std::uint64_t>(report.variables)));
   json.Add("clauses", JsonValue::MakeNumber(report.clauses));
-  switch (report.outcome) {
-    case api::Outcome::kExact:
-      json.Add("wmc", JsonValue::MakeString(report.count.ToString()));
-      break;
-    case api::Outcome::kBounds:
-      json.Add("lower", JsonValue::MakeString(report.count.ToString()));
-      json.Add("upper", JsonValue::MakeString(report.upper.ToString()));
-      break;
-    case api::Outcome::kAborted:
-      break;
-  }
-  if (report.outcome != api::Outcome::kExact) {
-    AddOutcomeFields(&json, report.outcome, report.stop_reason);
-  }
+  AddCountFields(&json, "wmc", report.outcome, report.stop_reason,
+                 report.count, report.upper);
   json.Add("stats", ToJson(report.stats));
   json.Add("elapsed_seconds", JsonValue::MakeNumber(report.elapsed_seconds));
   return json;

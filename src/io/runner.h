@@ -199,11 +199,17 @@ EvalRunReport RunEval(const LiftedNnfDocument& document,
                       std::optional<std::uint64_t> domain_size = std::nullopt,
                       std::string source = "<input>");
 
-/// Adds "outcome" and, for a computation that stopped early, its
-/// "stop_reason" to `json`: the shape every governed answer takes in the
-/// CLI reports and in serve responses.
-void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
-                      runtime::StopReason stop_reason);
+/// Adds one count to `json`: `exact_key` holding the exact value, the
+/// certified "lower"/"upper" pair for a bounded count, nothing for an
+/// aborted one — then, unless the count is exact, its "outcome" and
+/// "stop_reason" fields.
+/// `value` is the exact count or the lower bound; `upper` is read only
+/// when `outcome` is kBounds. The one count-to-JSON rule of the CLI
+/// reports and serve's direct answers.
+void AddCountFields(JsonValue* json, const char* exact_key,
+                    api::Outcome outcome, runtime::StopReason stop_reason,
+                    const numeric::BigRational& value,
+                    const numeric::BigRational& upper);
 
 /// JSON renderings of the reports (the `swfomc` output schema; see the
 /// README's "File formats and the swfomc CLI" section). All exact values

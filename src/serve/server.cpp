@@ -112,22 +112,9 @@ JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
       sentence, domain_size, method,
       runtime::Governance{envelope.Arm(&budget)});
   JsonValue entry = JsonValue::MakeObject();
-  switch (result.outcome) {
-    case api::Outcome::kExact:
-      entry.Add("wfomc", JsonValue::MakeString(result.value.ToString()));
-      break;
-    case api::Outcome::kBounds:
-      entry.Add("lower",
-                JsonValue::MakeString(result.bounds->lower.ToString()));
-      entry.Add("upper",
-                JsonValue::MakeString(result.bounds->upper.ToString()));
-      break;
-    case api::Outcome::kAborted:
-      break;
-  }
-  if (result.outcome != api::Outcome::kExact) {
-    io::AddOutcomeFields(&entry, result.outcome, result.stop_reason);
-  }
+  io::AddCountFields(&entry, "wfomc", result.outcome, result.stop_reason,
+                     result.value,
+                     result.bounds ? result.bounds->upper : result.value);
   return entry;
 }
 

@@ -46,6 +46,40 @@ TEST(EngineTest, RoutesConstantsAwayFromLifted) {
   EXPECT_EQ(engine.Route(f), Method::kGrounded);
 }
 
+TEST(EngineTest, ExplainRouteNamesTheFirstLiftabilityObstacle) {
+  // The reason text is part of the CLI's JSON; fo2::CanCompileLifted
+  // must reject exactly the sentences whose route names an obstacle.
+  struct Case {
+    const char* sentence;
+    const char* obstacle;
+  };
+  for (const Case& c : {
+           Case{"exists y R(x,y)", "not a sentence (free variables)"},
+           Case{"forall x forall y forall z (R(x,y) | R(y,z))",
+                "uses more than 2 variables"},
+           Case{"forall x forall y !T(x,y,x)",
+                "vocabulary has a relation of arity > 2"},
+           Case{"forall x R(x,0)", "contains constants"},
+       }) {
+    SCOPED_TRACE(c.sentence);
+    Engine engine{logic::Vocabulary{}};
+    logic::Formula f = engine.Parse(c.sentence);
+    RouteDecision decision = engine.ExplainRoute(f);
+    EXPECT_EQ(decision.method, Method::kGrounded);
+    EXPECT_EQ(decision.reason,
+              std::string("grounded fallback: not an existential "
+                          "conjunctive query; ") +
+                  c.obstacle);
+    EXPECT_FALSE(fo2::CanCompileLifted(f, engine.vocabulary()));
+  }
+  Engine engine{logic::Vocabulary{}};
+  logic::Formula f = engine.Parse("forall x exists y R(x,y)");
+  EXPECT_EQ(engine.ExplainRoute(f).reason,
+            "FO² sentence over arity <= 2 without constants "
+            "(Appendix C cell algorithm, PTIME data complexity)");
+  EXPECT_TRUE(fo2::CanCompileLifted(f, engine.vocabulary()));
+}
+
 TEST(EngineTest, MethodsAgreeOnFO2CQ) {
   // ∃x∃y (R(x,y) & T(y)) is simultaneously FO², a γ-acyclic CQ, and
   // groundable: all three answers must coincide.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
 #include "fo2/fo2_normal_form.h"
 #include "grounding/grounded_wfomc.h"
 #include "logic/parser.h"
@@ -134,14 +135,33 @@ TEST(LiftedWfomcTest, AppendixCExampleSymmetricDisjunction) {
 }
 
 TEST(LiftedWfomcTest, ZeroAryShannonExpansion) {
-  logic::Vocabulary vocab;
-  vocab.AddRelation("P", 0, BigRational(5), BigRational(1));
-  vocab.AddRelation("U", 1, BigRational(1), BigRational(1));
-  logic::Formula f = logic::ParseStrict("P => forall x U(x)", vocab);
-  for (std::uint64_t n = 1; n <= 3; ++n) {
-    EXPECT_EQ(LiftedWFOMC(f, vocab, n),
-              grounding::GroundedWFOMC(f, vocab, n))
-        << n;
+  // (0, 1) and (1, 0) zero one Shannon branch: the direct recursion skips
+  // it, while the compiled circuit the engine evaluates keeps it and
+  // multiplies it by zero. The engine's single-point and sweep answers
+  // must still equal the direct recursion and the grounded count.
+  struct PWeights {
+    int positive;
+    int negative;
+  };
+  for (PWeights p : {PWeights{5, 1}, PWeights{0, 1}, PWeights{1, 0}}) {
+    SCOPED_TRACE("P weights (" + std::to_string(p.positive) + ", " +
+                 std::to_string(p.negative) + ")");
+    logic::Vocabulary vocab;
+    vocab.AddRelation("P", 0, BigRational(p.positive),
+                      BigRational(p.negative));
+    vocab.AddRelation("U", 1, BigRational(1), BigRational(1));
+    logic::Formula f = logic::ParseStrict("P => forall x U(x)", vocab);
+    api::Engine engine(vocab);
+    api::Engine::SweepResult sweep =
+        engine.WFOMCSweep(f, 0, 3, api::Method::kLiftedFO2);
+    ASSERT_EQ(sweep.points.size(), 4u);
+    for (std::uint64_t n = 0; n <= 3; ++n) {
+      BigRational grounded = grounding::GroundedWFOMC(f, vocab, n);
+      EXPECT_EQ(LiftedWFOMC(f, vocab, n), grounded) << n;
+      EXPECT_EQ(engine.WFOMC(f, n, api::Method::kLiftedFO2).value, grounded)
+          << n;
+      EXPECT_EQ(sweep.points[n].value, grounded) << n;
+    }
   }
 }
 
@@ -182,8 +202,9 @@ TEST(LiftedProbabilityTest, MatchesGroundedProbability) {
   logic::Vocabulary vocab;
   vocab.AddRelation("S", 2, BigRational(1), BigRational(1));
   logic::Formula f = logic::ParseStrict("forall x exists y S(x,y)", vocab);
+  api::Engine engine(vocab);
   for (std::uint64_t n = 1; n <= 3; ++n) {
-    EXPECT_EQ(LiftedProbability(f, vocab, n),
+    EXPECT_EQ(engine.Probability(f, n, api::Method::kLiftedFO2),
               grounding::GroundedProbability(f, vocab, n))
         << n;
   }
@@ -198,13 +219,16 @@ TEST(LiftedProbabilityTest, ZeroOneLawDirections) {
   vocab.AddRelation("S", 2);
   logic::Formula ae = logic::ParseStrict("forall x exists y S(x,y)", vocab);
   logic::Formula ea = logic::ParseStrict("exists x forall y S(x,y)", vocab);
+  api::Engine engine(vocab);
+  ASSERT_EQ(engine.Route(ae), api::Method::kLiftedFO2);
+  ASSERT_EQ(engine.Route(ea), api::Method::kLiftedFO2);
   for (std::uint64_t n = 1; n <= 6; ++n) {
-    BigRational mu_ae = LiftedProbability(ae, vocab, n);
-    BigRational mu_ea = LiftedProbability(ea, vocab, n);
+    BigRational mu_ae = engine.Mu(ae, n);
+    BigRational mu_ea = engine.Mu(ea, n);
     EXPECT_EQ(mu_ae + mu_ea, BigRational(1)) << n;
   }
-  EXPECT_GT(LiftedProbability(ae, vocab, 8), BigRational::Fraction(9, 10));
-  EXPECT_LT(LiftedProbability(ea, vocab, 8), BigRational::Fraction(1, 10));
+  EXPECT_GT(engine.Mu(ae, 8), BigRational::Fraction(9, 10));
+  EXPECT_LT(engine.Mu(ea, 8), BigRational::Fraction(1, 10));
 }
 
 TEST(CellStatsTest, Reported) {
