@@ -1,8 +1,8 @@
 // Observability overhead — the cost of being measurable.
 //
-// The contract is that disabled observability is one predictable branch
-// per decision and enabled observability is a handful of relaxed
-// shard-local adds every 4096 decisions. The rows below put the plain
+// The DPLL search counts into its Stats either way; an attached registry
+// only receives those Stats once, when each count ends (eight counter
+// adds per count, none per decision). The rows below put the plain
 // triangle grounded search next to the same search with a live
 // MetricsRegistry attached, so BENCH_wmc.json records the deltas
 // directly; the disabled row must stay within 2% of the seed baseline
@@ -31,8 +31,7 @@ using swfomc::wmc::DpllCounter;
 constexpr const char* kTriangle =
     "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))";
 
-// Baseline: the counter with no observability attached — the hot path
-// takes the not-observed branch on every decision.
+// Baseline: the counter with no observability attached.
 void BM_Obs_Disabled_Triangle(benchmark::State& state) {
   swfomc::logic::Vocabulary vocab;
   swfomc::logic::Formula phi = swfomc::logic::Parse(kTriangle, &vocab);
@@ -48,9 +47,9 @@ BENCHMARK(BM_Obs_Disabled_Triangle)
     ->Arg(5)
     ->Unit(benchmark::kMillisecond);
 
-// Identical search with a registry attached: live decision/propagation/
-// cache counters flush every 4096 decisions. The count comes back
-// bit-identical; this row prices the bookkeeping.
+// Identical search with a registry attached: the finished count's
+// decision/propagation/split/fork/cache Stats are added to it once. The
+// count comes back bit-identical; this row prices the bookkeeping.
 void BM_Obs_MetricsEnabled_Triangle(benchmark::State& state) {
   swfomc::logic::Vocabulary vocab;
   swfomc::logic::Formula phi = swfomc::logic::Parse(kTriangle, &vocab);

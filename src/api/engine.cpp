@@ -83,18 +83,14 @@ class ScopedUnitWeights {
 };
 
 // The counter options of one grounded search issued by the engine: its
-// thread count, the call's governance, and the engine's observability
-// sinks tagged with the query's id.
-wmc::DpllCounter::Options CounterOptions(const Engine::Options& engine,
-                                         unsigned num_threads,
-                                         const runtime::Governance& governance,
-                                         std::uint64_t query_id) {
+// thread count, the call's governance, and the engine's metrics registry.
+wmc::DpllCounter::Options CounterOptions(
+    const Engine::Options& engine, unsigned num_threads,
+    const runtime::Governance& governance) {
   wmc::DpllCounter::Options options;
   options.num_threads = num_threads;
   options.governance = governance;
   options.metrics = engine.metrics;
-  options.trace = engine.trace;
-  options.trace_query_id = query_id;
   return options;
 }
 
@@ -115,7 +111,6 @@ const char* MethodMetricSuffix(Method method) {
 // compile) funnels through this so metric names cannot drift apart.
 struct QueryScope {
   obs::TraceLog::Span span;
-  std::uint64_t query_id = 0;
 
   QueryScope(const Engine::Options& options, const char* op, Method method) {
     if (options.metrics != nullptr) {
@@ -130,7 +125,7 @@ struct QueryScope {
           ->Add();
     }
     if (options.trace != nullptr) {
-      query_id = options.trace->NextQueryId();
+      std::uint64_t query_id = options.trace->NextQueryId();
       if (options.trace->SampledQuery(query_id)) {
         span = options.trace->BeginSpan(op);
         span.Num("query", query_id).Str("method", ToString(method));
@@ -245,9 +240,14 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
   result.domain_size = domain_size;
   SweepPoint& point = result;
   wmc::DpllCounter::Stats stats;
-  CountPoints(sentence, method, governance, "Engine::WFOMC", scope.query_id,
-              {&point, 1}, &stats);
-  if (method == Method::kGrounded) result.grounded_stats = stats;
+  CountPoints(sentence, method, governance, "Engine::WFOMC", {&point, 1},
+              &stats);
+  if (method == Method::kGrounded) {
+    result.grounded_stats = stats;
+    scope.span.Num("decisions", stats.decisions)
+        .Num("propagations", stats.unit_propagations)
+        .Num("splits", stats.component_splits);
+  }
   scope.span.Str("outcome", ToString(result.outcome));
   return result;
 }
@@ -272,7 +272,7 @@ Engine::SweepResult Engine::WFOMCSweep(
     sweep.points[i].domain_size = n_lo + i;
   }
   CountPoints(sentence, method, governance, "Engine::WFOMCSweep",
-              scope.query_id, sweep.points, nullptr);
+              sweep.points, nullptr);
   for (const SweepPoint& point : sweep.points) {
     if (point.outcome == Outcome::kAborted ||
         (point.outcome == Outcome::kBounds &&
@@ -288,8 +288,7 @@ Engine::SweepResult Engine::WFOMCSweep(
 
 void Engine::CountPoints(const logic::Formula& sentence, Method method,
                          const runtime::Governance& governance,
-                         const char* who, std::uint64_t query_id,
-                         std::span<SweepPoint> points,
+                         const char* who, std::span<SweepPoint> points,
                          wmc::DpllCounter::Stats* stats) {
   switch (method) {
     case Method::kLiftedFO2: {
@@ -347,7 +346,7 @@ void Engine::CountPoints(const logic::Formula& sentence, Method method,
         wmc::DpllCounter::CountResult counted =
             grounding::GroundedWFOMCBounded(
                 sentence, vocabulary_, point->domain_size,
-                CounterOptions(options_, point_threads, governance, query_id),
+                CounterOptions(options_, point_threads, governance),
                 point_stats);
         // The value when exact, the certified bounds (value = lower)
         // when bounded, neither when aborted.
@@ -529,13 +528,16 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
       grounding::SymmetricGroundWeights(index, tseitin.cnf.variable_count);
 
   nnf::CircuitBuilder builder(tseitin.cnf.variable_count);
-  wmc::DpllCounter::Options counter_options = CounterOptions(
-      options_, /*num_threads=*/1, options.governance, scope.query_id);
+  wmc::DpllCounter::Options counter_options =
+      CounterOptions(options_, /*num_threads=*/1, options.governance);
   counter_options.trace_sink = &builder;
   wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights),
                            counter_options);
 
   wmc::DpllCounter::CountResult counted = counter.CountBounded();
+  scope.span.Num("decisions", counter.stats().decisions)
+      .Num("propagations", counter.stats().unit_propagations)
+      .Num("splits", counter.stats().component_splits);
   result.stop_reason = counted.stop_reason;
   if (counted.outcome != Outcome::kExact) {
     // A stopped trace contains placeholder FALSE nodes for the abandoned

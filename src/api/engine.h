@@ -214,8 +214,9 @@ class Engine {
     /// Live observability (not owned; null = disabled). The registry
     /// receives per-method route counters and is forwarded into the
     /// DPLL counter and its pool; the trace log gets one span per
-    /// WFOMC/WFOMCSweep/Compile call (with a fresh query id) plus the
-    /// counter's progress events. Neither changes any result bit.
+    /// WFOMC/WFOMCSweep/Compile call (with a fresh query id), and a
+    /// grounded WFOMC or Compile span carries the search's decisions,
+    /// propagations and splits. Neither changes any result bit.
     obs::MetricsRegistry* metrics = nullptr;
     obs::TraceLog* trace = nullptr;
   };
@@ -344,7 +345,7 @@ class Engine {
   /// grounded count's counters.
   void CountPoints(const logic::Formula& sentence, Method method,
                    const runtime::Governance& governance, const char* who,
-                   std::uint64_t query_id, std::span<SweepPoint> points,
+                   std::span<SweepPoint> points,
                    wmc::DpllCounter::Stats* stats);
 
   logic::Vocabulary vocabulary_;

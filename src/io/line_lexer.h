@@ -2,8 +2,9 @@
 #define SWFOMC_IO_LINE_LEXER_H_
 
 // Shared token-level machinery for the io module's line-oriented readers
-// (model_format.cpp, cnf_format.cpp): whitespace tokenization with column
-// tracking, and the numeric token parsers with their overflow checks.
+// (model_format.cpp, cnf_format.cpp, nnf_format.cpp): whitespace
+// tokenization with column tracking, the numeric token parsers with their
+// overflow checks, and the line discipline both `.nnf` dialects share.
 // Internal to src/io — not part of the module's public surface.
 
 #include <cctype>
@@ -101,6 +102,67 @@ inline std::uint64_t ParseUnsignedText(std::string_view source,
 inline std::uint64_t ParseUnsigned(std::string_view source, std::size_t line,
                                    const LineToken& token, const char* what) {
   return ParseUnsignedText(source, line, token, token.text, what);
+}
+
+/// A fixed-shape line must hold exactly `count` tokens, head included;
+/// `what` names the line in the diagnostic.
+inline void RequireTokenCount(std::string_view source, std::size_t line,
+                              const std::vector<LineToken>& tokens,
+                              std::size_t count, const char* what) {
+  if (tokens.size() < count) {
+    FailAt(source, {line, tokens.back().column},
+           std::string(what) + ": expected " + std::to_string(count - 1) +
+               " value(s)");
+  }
+  if (tokens.size() > count) {
+    FailAt(source, {line, tokens[count].column},
+           std::string("unexpected trailing token '") + tokens[count].text +
+               "' on " + what + " line");
+  }
+}
+
+/// The `child-count child-id...` tail of a circuit node line, starting at
+/// tokens[from]: every id must name an earlier node (children precede
+/// parents, so ids are < `node_count`). Appends the ids to `edges` and
+/// sets node->children_begin/children_end to their range.
+template <typename Node, typename NodeId>
+inline void ParseChildren(std::string_view source, std::size_t line,
+                          const std::vector<LineToken>& tokens,
+                          std::size_t from, std::size_t node_count,
+                          Node* node, std::vector<NodeId>* edges) {
+  std::uint64_t count =
+      ParseUnsigned(source, line, tokens[from], "child count");
+  if (tokens.size() - from - 1 != count) {
+    FailAt(source, {line, tokens[from].column},
+           "child count " + std::to_string(count) + " does not match the " +
+               std::to_string(tokens.size() - from - 1) +
+               " child id(s) on the line");
+  }
+  node->children_begin = static_cast<std::uint32_t>(edges->size());
+  for (std::size_t i = from + 1; i < tokens.size(); ++i) {
+    std::uint64_t child = ParseUnsigned(source, line, tokens[i], "child id");
+    if (child >= node_count) {
+      FailAt(source, {line, tokens[i].column},
+             "child " + std::to_string(child) +
+                 " does not precede its parent (node " +
+                 std::to_string(node_count) + ")");
+    }
+    edges->push_back(static_cast<NodeId>(child));
+  }
+  node->children_end = static_cast<std::uint32_t>(edges->size());
+}
+
+/// End-of-file check of a header-declared count against what the file
+/// delivered: "<what> count mismatch: header declares D, <found> A".
+inline void RequireDeclaredCount(std::string_view source, std::size_t line,
+                                 const char* what, std::uint64_t declared,
+                                 std::uint64_t actual, const char* found) {
+  if (actual != declared) {
+    FailAt(source, {line, 1},
+           std::string(what) + " count mismatch: header declares " +
+               std::to_string(declared) + ", " + found + " " +
+               std::to_string(actual));
+  }
 }
 
 inline std::int64_t ParseSigned(std::string_view source, std::size_t line,

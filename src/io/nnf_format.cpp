@@ -29,18 +29,10 @@ class NnfParser {
       ParseLine(line);
     });
     if (!saw_header_) Fail({line_, 1}, "missing 'nnf V E n' header");
-    if (nodes_.size() != declared_nodes_) {
-      Fail({line_, 1},
-           "node count mismatch: header declares " +
-               std::to_string(declared_nodes_) + ", file has " +
-               std::to_string(nodes_.size()));
-    }
-    if (edges_.size() != declared_edges_) {
-      Fail({line_, 1},
-           "edge count mismatch: header declares " +
-               std::to_string(declared_edges_) + ", nodes reference " +
-               std::to_string(edges_.size()));
-    }
+    internal::RequireDeclaredCount(source_, line_, "node", declared_nodes_,
+                                   nodes_.size(), "file has");
+    internal::RequireDeclaredCount(source_, line_, "edge", declared_edges_,
+                                   edges_.size(), "nodes reference");
     NnfDocument document;
     document.circuit = nnf::Circuit(
         variable_count_, std::move(nodes_), std::move(edges_),
@@ -56,20 +48,6 @@ class NnfParser {
     internal::FailAt(source_, location, message);
   }
 
-  void RequireTokenCount(const std::vector<LineToken>& tokens,
-                         std::size_t count, const char* what) {
-    if (tokens.size() < count) {
-      Fail({line_, tokens.back().column},
-           std::string(what) + ": expected " + std::to_string(count - 1) +
-               " value(s)");
-    }
-    if (tokens.size() > count) {
-      Fail({line_, tokens[count].column},
-           std::string("unexpected trailing token '") + tokens[count].text +
-               "' on " + what + " line");
-    }
-  }
-
   // A variable index in [1, n], returned 0-based.
   prop::VarId ParseVariable(const LineToken& token, const char* what) {
     std::uint64_t value =
@@ -82,31 +60,6 @@ class NnfParser {
     return static_cast<prop::VarId>(value - 1);
   }
 
-  void ParseChildren(const std::vector<LineToken>& tokens, std::size_t from,
-                     nnf::Circuit::Node* node) {
-    std::uint64_t count = internal::ParseUnsigned(source_, line_,
-                                                  tokens[from], "child count");
-    if (tokens.size() - from - 1 != count) {
-      Fail({line_, tokens[from].column},
-           "child count " + std::to_string(count) + " does not match the " +
-               std::to_string(tokens.size() - from - 1) +
-               " child id(s) on the line");
-    }
-    node->children_begin = static_cast<std::uint32_t>(edges_.size());
-    for (std::size_t i = from + 1; i < tokens.size(); ++i) {
-      std::uint64_t child =
-          internal::ParseUnsigned(source_, line_, tokens[i], "child id");
-      if (child >= nodes_.size()) {
-        Fail({line_, tokens[i].column},
-             "child " + std::to_string(child) +
-                 " does not precede its parent (node " +
-                 std::to_string(nodes_.size()) + ")");
-      }
-      edges_.push_back(static_cast<nnf::Circuit::NodeId>(child));
-    }
-    node->children_end = static_cast<std::uint32_t>(edges_.size());
-  }
-
   void ParseLine(std::string_view line) {
     std::vector<LineToken> tokens = internal::Tokenize(line);
     if (tokens.empty() || tokens.front().text == "c") return;
@@ -116,7 +69,7 @@ class NnfParser {
         Fail({line_, head.column},
              "expected 'nnf V E n' header, found '" + head.text + "'");
       }
-      RequireTokenCount(tokens, 4, "header");
+      internal::RequireTokenCount(source_, line_, tokens, 4, "header");
       declared_nodes_ =
           internal::ParseUnsigned(source_, line_, tokens[1], "node count");
       declared_edges_ =
@@ -141,7 +94,7 @@ class NnfParser {
       Fail({line_, head.column}, "duplicate 'nnf' header");
     }
     if (head.text == "w") {
-      RequireTokenCount(tokens, 4, "weight line");
+      internal::RequireTokenCount(source_, line_, tokens, 4, "weight line");
       prop::VarId variable = ParseVariable(tokens[1], "weight variable");
       if (weight_set_.size() <= variable) weight_set_.resize(variable + 1);
       if (weight_set_[variable]) {
@@ -155,7 +108,7 @@ class NnfParser {
       return;
     }
     if (head.text == "e") {
-      RequireTokenCount(tokens, 2, "expect line");
+      internal::RequireTokenCount(source_, line_, tokens, 2, "expect line");
       if (expect_.has_value()) {
         Fail({line_, head.column}, "duplicate 'e' line");
       }
@@ -167,7 +120,7 @@ class NnfParser {
            "more nodes than the header's " + std::to_string(declared_nodes_));
     }
     if (head.text == "L") {
-      RequireTokenCount(tokens, 2, "literal node");
+      internal::RequireTokenCount(source_, line_, tokens, 2, "literal node");
       std::int64_t literal =
           internal::ParseSigned(source_, line_, tokens[1], "literal");
       std::uint64_t magnitude =
@@ -188,7 +141,8 @@ class NnfParser {
         Fail({line_, head.column}, "AND node: missing child count");
       }
       nnf::Circuit::Node node{.kind = nnf::NodeKind::kAnd};
-      ParseChildren(tokens, 1, &node);
+      internal::ParseChildren(source_, line_, tokens, 1, nodes_.size(), &node,
+                              &edges_);
       if (node.children_begin == node.children_end) {
         node.kind = nnf::NodeKind::kTrue;  // A 0: the TRUE sentinel
       }
@@ -211,7 +165,8 @@ class NnfParser {
       node.decision = decision == 0
                           ? nnf::kNoDecision
                           : static_cast<prop::VarId>(decision - 1);
-      ParseChildren(tokens, 2, &node);
+      internal::ParseChildren(source_, line_, tokens, 2, nodes_.size(), &node,
+                              &edges_);
       if (node.children_begin == node.children_end) {
         // O j 0: the FALSE sentinel (c2d writes O 0 0).
         if (decision != 0) {
@@ -259,24 +214,13 @@ class LiftedNnfParser {
       ParseLine(line);
     });
     if (!saw_header_) Fail({line_, 1}, "missing 'lnnf V E R' header");
-    if (relations_.size() != declared_relations_) {
-      Fail({line_, 1},
-           "relation count mismatch: header declares " +
-               std::to_string(declared_relations_) + ", file has " +
-               std::to_string(relations_.size()));
-    }
-    if (nodes_.size() != declared_nodes_) {
-      Fail({line_, 1},
-           "node count mismatch: header declares " +
-               std::to_string(declared_nodes_) + ", file has " +
-               std::to_string(nodes_.size()));
-    }
-    if (edges_.size() != declared_edges_) {
-      Fail({line_, 1},
-           "edge count mismatch: header declares " +
-               std::to_string(declared_edges_) + ", nodes reference " +
-               std::to_string(edges_.size()));
-    }
+    internal::RequireDeclaredCount(source_, line_, "relation",
+                                   declared_relations_, relations_.size(),
+                                   "file has");
+    internal::RequireDeclaredCount(source_, line_, "node", declared_nodes_,
+                                   nodes_.size(), "file has");
+    internal::RequireDeclaredCount(source_, line_, "edge", declared_edges_,
+                                   edges_.size(), "nodes reference");
     LiftedNnfDocument document;
     document.circuit = nnf::LiftedCircuit(
         std::move(relations_), std::move(constants_), std::move(nodes_),
@@ -291,45 +235,6 @@ class LiftedNnfParser {
     internal::FailAt(source_, location, message);
   }
 
-  void RequireTokenCount(const std::vector<LineToken>& tokens,
-                         std::size_t count, const char* what) {
-    if (tokens.size() < count) {
-      Fail({line_, tokens.back().column},
-           std::string(what) + ": expected " + std::to_string(count - 1) +
-               " value(s)");
-    }
-    if (tokens.size() > count) {
-      Fail({line_, tokens[count].column},
-           std::string("unexpected trailing token '") + tokens[count].text +
-               "' on " + what + " line");
-    }
-  }
-
-  void ParseChildren(const std::vector<LineToken>& tokens, std::size_t from,
-                     nnf::LiftedCircuit::Node* node) {
-    std::uint64_t count = internal::ParseUnsigned(source_, line_,
-                                                  tokens[from], "child count");
-    if (tokens.size() - from - 1 != count) {
-      Fail({line_, tokens[from].column},
-           "child count " + std::to_string(count) + " does not match the " +
-               std::to_string(tokens.size() - from - 1) +
-               " child id(s) on the line");
-    }
-    node->children_begin = static_cast<std::uint32_t>(edges_.size());
-    for (std::size_t i = from + 1; i < tokens.size(); ++i) {
-      std::uint64_t child =
-          internal::ParseUnsigned(source_, line_, tokens[i], "child id");
-      if (child >= nodes_.size()) {
-        Fail({line_, tokens[i].column},
-             "child " + std::to_string(child) +
-                 " does not precede its parent (node " +
-                 std::to_string(nodes_.size()) + ")");
-      }
-      edges_.push_back(static_cast<nnf::LiftedCircuit::NodeId>(child));
-    }
-    node->children_end = static_cast<std::uint32_t>(edges_.size());
-  }
-
   void ParseLine(std::string_view line) {
     std::vector<LineToken> tokens = internal::Tokenize(line);
     if (tokens.empty() || tokens.front().text == "c") return;
@@ -339,7 +244,7 @@ class LiftedNnfParser {
         Fail({line_, head.column},
              "expected 'lnnf V E R' header, found '" + head.text + "'");
       }
-      RequireTokenCount(tokens, 4, "header");
+      internal::RequireTokenCount(source_, line_, tokens, 4, "header");
       declared_nodes_ =
           internal::ParseUnsigned(source_, line_, tokens[1], "node count");
       declared_edges_ =
@@ -362,7 +267,7 @@ class LiftedNnfParser {
       Fail({line_, head.column}, "duplicate 'lnnf' header");
     }
     if (head.text == "r") {
-      RequireTokenCount(tokens, 4, "relation line");
+      internal::RequireTokenCount(source_, line_, tokens, 4, "relation line");
       if (relations_.size() >= declared_relations_) {
         Fail({line_, head.column},
              "more relation lines than the header's " +
@@ -375,7 +280,7 @@ class LiftedNnfParser {
       return;
     }
     if (head.text == "e") {
-      RequireTokenCount(tokens, 3, "expect line");
+      internal::RequireTokenCount(source_, line_, tokens, 3, "expect line");
       if (expect_.has_value()) {
         Fail({line_, head.column}, "duplicate 'e' line");
       }
@@ -394,7 +299,7 @@ class LiftedNnfParser {
            "more nodes than the header's " + std::to_string(declared_nodes_));
     }
     if (head.text == "K") {
-      RequireTokenCount(tokens, 2, "constant node");
+      internal::RequireTokenCount(source_, line_, tokens, 2, "constant node");
       BigRational value = internal::ParseRational(source_, line_, tokens[1]);
       std::string text = value.ToString();
       auto [it, inserted] = constant_slots_.emplace(
@@ -405,7 +310,7 @@ class LiftedNnfParser {
       return;
     }
     if (head.text == "W") {
-      RequireTokenCount(tokens, 2, "weight node");
+      internal::RequireTokenCount(source_, line_, tokens, 2, "weight node");
       std::int64_t reference = internal::ParseSigned(
           source_, line_, tokens[1], "relation reference");
       std::uint64_t magnitude =
@@ -430,7 +335,8 @@ class LiftedNnfParser {
       nnf::LiftedCircuit::Node node;
       node.kind = head.text == "A" ? nnf::LiftedCircuit::Kind::kAnd
                                    : nnf::LiftedCircuit::Kind::kOr;
-      ParseChildren(tokens, 1, &node);
+      internal::ParseChildren(source_, line_, tokens, 1, nodes_.size(), &node,
+                              &edges_);
       nodes_.push_back(node);
       return;
     }
@@ -451,7 +357,8 @@ class LiftedNnfParser {
       nnf::LiftedCircuit::Node node;
       node.kind = nnf::LiftedCircuit::Kind::kCount;
       node.cells = static_cast<std::uint32_t>(cells);
-      ParseChildren(tokens, 2, &node);
+      internal::ParseChildren(source_, line_, tokens, 2, nodes_.size(), &node,
+                              &edges_);
       std::uint64_t expected = cells + cells * (cells + 1) / 2;
       std::uint64_t actual = node.children_end - node.children_begin;
       if (actual != expected) {

@@ -156,7 +156,6 @@ CnfRunReport RunWeightedCnf(const WeightedCnf& instance,
   wmc::DpllCounter::Options counter_options;
   counter_options.num_threads = options.num_threads;
   counter_options.metrics = options.metrics;
-  counter_options.trace = options.trace;
   runtime::Budget budget;
   counter_options.governance.budget = options.limits.Arm(&budget);
 
@@ -164,10 +163,10 @@ CnfRunReport RunWeightedCnf(const WeightedCnf& instance,
   // trace correlation and wraps the count in a span itself.
   obs::TraceLog::Span span;
   if (options.trace != nullptr) {
-    counter_options.trace_query_id = options.trace->NextQueryId();
-    if (options.trace->SampledQuery(counter_options.trace_query_id)) {
+    std::uint64_t query_id = options.trace->NextQueryId();
+    if (options.trace->SampledQuery(query_id)) {
       span = options.trace->BeginSpan("cnf_count");
-      span.Num("query", counter_options.trace_query_id);
+      span.Num("query", query_id);
       span.Num("variables", static_cast<std::uint64_t>(report.variables));
       span.Num("clauses", report.clauses);
     }
@@ -177,12 +176,14 @@ CnfRunReport RunWeightedCnf(const WeightedCnf& instance,
   auto start = std::chrono::steady_clock::now();
   wmc::DpllCounter::CountResult counted = counter.CountBounded();
   report.elapsed_seconds = SecondsSince(start);
-  span.Finish();
   report.outcome = counted.outcome;
   report.count = std::move(counted.value);
   report.upper = std::move(counted.upper);
   report.stop_reason = counted.stop_reason;
   report.stats = counter.stats();
+  span.Num("decisions", report.stats.decisions)
+      .Num("propagations", report.stats.unit_propagations)
+      .Num("splits", report.stats.component_splits);
   return report;
 }
 

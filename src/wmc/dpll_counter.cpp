@@ -28,12 +28,6 @@ constexpr std::size_t kParallelCacheShards = 16;
 // steal. Once spent, the search continues sequentially in every branch.
 constexpr std::uint64_t kForksPerThread = 32;
 
-// Live-metrics flush cadence in decisions (must be a power of two): a
-// relaxed fetch_add per counter every this many decisions, so the
-// enabled-mode amortized cost stays far below one increment per
-// decision.
-constexpr std::uint64_t kLiveFlushInterval = 4096;
-
 // Adds the search-side counters (cache counters come from the cache).
 void AddSearchStats(DpllCounter::Stats* into, const DpllCounter::Stats& from) {
   into->decisions += from.decisions;
@@ -133,7 +127,6 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
               ? runtime::ThreadPool::ResolveThreadCount(options.num_threads)
               : 1),
       governed_(options.governance.active()),
-      observed_(options.metrics != nullptr || options.trace != nullptr),
       // A budget's memory ceiling caps the cache bytes too (the cache is
       // the dominant allocation); the tighter of the two bounds wins.
       cache_(options.max_cache_entries,
@@ -146,46 +139,6 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
                  : options.max_cache_bytes),
       local_cache_(cache_.LocalShard()) {
   weights_.EnsureSize(cnf_.variable_count);
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry* r = options_.metrics;
-    live_.decisions = r->GetCounter("swfomc_dpll_decisions_total",
-                                    "DPLL branch decisions");
-    live_.propagations = r->GetCounter("swfomc_dpll_propagations_total",
-                                       "Unit propagations");
-    live_.component_splits = r->GetCounter(
-        "swfomc_dpll_component_splits_total",
-        "Residuals that split into >1 component");
-    live_.parallel_forks = r->GetCounter("swfomc_dpll_parallel_forks_total",
-                                         "Components forked to the pool");
-    live_.cache_lookups = r->GetCounter("swfomc_dpll_cache_lookups_total",
-                                        "Component-cache probes");
-    live_.cache_hits = r->GetCounter("swfomc_dpll_cache_hits_total",
-                                     "Component-cache hits");
-    live_.cache_insertions = r->GetCounter(
-        "swfomc_dpll_cache_insertions_total", "Component-cache insertions");
-    live_.cache_evictions = r->GetCounter(
-        "swfomc_dpll_cache_evictions_total", "Component-cache evictions");
-  }
-}
-
-void DpllCounter::FlushLiveStats(SearchContext* ctx) {
-  const Stats& now = ctx->stats;
-  Stats& last = ctx->flushed;
-  if (live_.decisions != nullptr) {
-    live_.decisions->Add(now.decisions - last.decisions);
-    live_.propagations->Add(now.unit_propagations - last.unit_propagations);
-    live_.component_splits->Add(now.component_splits - last.component_splits);
-    live_.parallel_forks->Add(now.parallel_forks - last.parallel_forks);
-  }
-  last = now;
-  if (options_.trace != nullptr &&
-      options_.trace->SampledQuery(options_.trace_query_id)) {
-    options_.trace->Event("dpll_progress")
-        .Num("query", options_.trace_query_id)
-        .Num("decisions", now.decisions)
-        .Num("propagations", now.unit_propagations)
-        .Num("splits", now.component_splits);
-  }
 }
 
 void DpllCounter::InitContext(SearchContext* ctx) const {
@@ -311,8 +264,8 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
   }();
   pool_.reset();
   MergeContextStats(root.stats);
-  if (observed_) FlushLiveStats(&root);
   FinalizeStats();
+  PublishStats();
   if (sink != nullptr) sink->Root(trace_root);
 
   CountResult out;
@@ -360,18 +313,6 @@ void DpllCounter::SnapshotCacheBaseline() {
 }
 
 void DpllCounter::FinalizeStats() {
-  // Per-invocation cache deltas go to the live registry on scope exit,
-  // after whichever branch below fills them in.
-  struct PublishCache {
-    DpllCounter* self;
-    ~PublishCache() {
-      if (self->live_.cache_lookups == nullptr) return;
-      self->live_.cache_lookups->Add(self->stats_.cache_lookups);
-      self->live_.cache_hits->Add(self->stats_.cache_hits);
-      self->live_.cache_insertions->Add(self->stats_.cache_insertions);
-      self->live_.cache_evictions->Add(self->stats_.cache_evictions);
-    }
-  } publish{this};
   if (tracing()) {
     // The trace memo replaced the component cache for this Count(); its
     // counters are already per-invocation (the memo is rebuilt each call)
@@ -396,6 +337,31 @@ void DpllCounter::FinalizeStats() {
   stats_.cache_evictions =
       cache_.evictions() - cache_baseline_.cache_evictions;
   stats_.cache_bytes = cache_.bytes();
+}
+
+void DpllCounter::PublishStats() const {
+  obs::MetricsRegistry* r = options_.metrics;
+  if (r == nullptr) return;
+  r->GetCounter("swfomc_dpll_decisions_total", "DPLL branch decisions")
+      ->Add(stats_.decisions);
+  r->GetCounter("swfomc_dpll_propagations_total", "Unit propagations")
+      ->Add(stats_.unit_propagations);
+  r->GetCounter("swfomc_dpll_component_splits_total",
+                "Residuals that split into >1 component")
+      ->Add(stats_.component_splits);
+  r->GetCounter("swfomc_dpll_parallel_forks_total",
+                "Components forked to the pool")
+      ->Add(stats_.parallel_forks);
+  r->GetCounter("swfomc_dpll_cache_lookups_total", "Component-cache probes")
+      ->Add(stats_.cache_lookups);
+  r->GetCounter("swfomc_dpll_cache_hits_total", "Component-cache hits")
+      ->Add(stats_.cache_hits);
+  r->GetCounter("swfomc_dpll_cache_insertions_total",
+                "Component-cache insertions")
+      ->Add(stats_.cache_insertions);
+  r->GetCounter("swfomc_dpll_cache_evictions_total",
+                "Component-cache evictions")
+      ->Add(stats_.cache_evictions);
 }
 
 DpllCounter::NodeResult DpllCounter::CountResidual(
@@ -512,7 +478,6 @@ DpllCounter::NodeResult DpllCounter::CountComponents(
       child.trail.emplace(std::move(snapshot));
       values[i] = CountComponentCached(&child, (*components)[i], nullptr);
       fork_stats[i] = child.stats;
-      if (observed_) FlushLiveStats(&child);
     });
   }
   // Forked tasks observe the shared stop flag (they run on `this`, and
@@ -691,10 +656,6 @@ DpllCounter::NodeResult DpllCounter::BranchOnComponent(
   }
   VarId variable = PickBranchVariable(ctx, component);
   ++ctx->stats.decisions;
-  if (observed_ &&
-      (ctx->stats.decisions & (kLiveFlushInterval - 1)) == 0) {
-    FlushLiveStats(ctx);
-  }
   NodeScratch* scratch = AcquireScratch(ctx);
   // Branch product and decision sum stay unreduced until the OR closes:
   // one canonicalizing reduction per decision node instead of one per

@@ -10,7 +10,6 @@
 
 #include "numeric/rational.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "prop/cnf.h"
 #include "prop/compact_cnf.h"
 #include "runtime/budget.h"
@@ -54,6 +53,12 @@ namespace swfomc::wmc {
 /// down cooperatively — explored branches keep their exact mass,
 /// abandoned subtrees are bracketed, and CountBounded() returns certified
 /// anytime bounds instead of an answer-or-hang.
+///
+/// Search events are counted in exactly one place, each worker's Stats;
+/// forked workers' Stats fold into their parent's when the fork joins.
+/// stats() and the optional metrics registry (`Options::metrics`) are
+/// both written from that one total when a count ends, so they agree in
+/// every threading configuration.
 class DpllCounter {
  public:
   struct Options {
@@ -95,20 +100,12 @@ class DpllCounter {
     /// simulated allocation failure at the K-th decision / cache
     /// insertion (tests only).
     runtime::Governance governance{};
-    /// Live metrics registry (not owned; null = disabled). Counters are
-    /// bridged from Stats without changing counting semantics: each
-    /// worker flushes its deltas every 4096 decisions and once at the
-    /// end of every Count(); cache counters publish per invocation at
-    /// finalization. Disabled cost is one predictable branch per
-    /// decision.
+    /// Metrics registry (not owned; null = disabled). Each CountBounded()
+    /// adds its finished stats() to the `swfomc_dpll_*_total` counters
+    /// once, on return, so the registry always equals the sum of the
+    /// per-invocation Stats; the search itself never touches it. The
+    /// parallel counter's work-stealing pool reports into it too.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Structured progress events (not owned; null = disabled), emitted
-    /// at the same flush cadence and subject to the log's query
-    /// sampling keyed by trace_query_id.
-    obs::TraceLog* trace = nullptr;
-    /// Correlates this counter's trace records with a query id from
-    /// TraceLog::NextQueryId().
-    std::uint64_t trace_query_id = 0;
   };
 
   struct Stats {
@@ -218,9 +215,6 @@ class DpllCounter {
   struct SearchContext {
     std::optional<Trail> trail;
     Stats stats;
-    // Search counters already pushed to the live metrics registry;
-    // FlushLiveStats publishes stats - flushed and advances this.
-    Stats flushed;
     // Per-worker tick counter amortizing the deadline check (the clock is
     // read every 64 decisions, starting with the first).
     std::uint64_t governance_ticks = 0;
@@ -324,12 +318,10 @@ class DpllCounter {
   // stats() always describes exactly one Count() invocation.
   void SnapshotCacheBaseline();
   void FinalizeStats();
-
-  // Publishes a worker's search-counter deltas to the live registry and
-  // emits one progress trace event (when sampled). Called every 4096
-  // decisions and once per context at the end of the search; never
-  // called when observability is off (observed_ == false).
-  void FlushLiveStats(SearchContext* ctx);
+  // Adds the finalized stats_ to options_.metrics (when set); the only
+  // writer of the counter's registry entries, called once per
+  // CountBounded() after FinalizeStats().
+  void PublishStats() const;
 
   bool tracing() const { return options_.trace_sink != nullptr; }
 
@@ -340,22 +332,6 @@ class DpllCounter {
   // True when options_.governance is active; the sole per-decision cost
   // on ungoverned runs is this one predictable branch.
   bool governed_;
-  // True when metrics or trace is set; like governed_, one predictable
-  // per-decision branch when off.
-  bool observed_;
-  // Instrument pointers resolved once at construction (all null when
-  // options_.metrics is null).
-  struct LiveMetrics {
-    obs::Counter* decisions = nullptr;
-    obs::Counter* propagations = nullptr;
-    obs::Counter* component_splits = nullptr;
-    obs::Counter* parallel_forks = nullptr;
-    obs::Counter* cache_lookups = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_insertions = nullptr;
-    obs::Counter* cache_evictions = nullptr;
-  };
-  LiveMetrics live_;
   // Non-negative weights make the [0, mass] bracket certified; scanned
   // once per governed Count(). With negative weights a stop degrades to
   // kAborted.

@@ -10,12 +10,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "api/engine.h"
 #include "grounding/grounded_wfomc.h"
+#include "grounding/lineage.h"
+#include "grounding/tuple_index.h"
 #include "logic/parser.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "prop/tseitin.h"
 #include "runtime/thread_pool.h"
 #include "wmc/dpll_counter.h"
 
@@ -128,6 +135,123 @@ TEST(ParallelDeterminism, EngineSweepParallelMatchesSequential) {
     EXPECT_EQ(actual.points[i].domain_size, expected.points[i].domain_size);
     EXPECT_EQ(actual.points[i].value, expected.points[i].value);
   }
+}
+
+// Every swfomc_dpll_* counter in `registry` must equal its Stats field:
+// the registry is written from the finished Stats, never from the search.
+void ExpectRegistryEquals(obs::MetricsRegistry* registry,
+                          const DpllCounter::Stats& stats) {
+  auto value = [&](const char* name) {
+    return registry->GetCounter(name)->Value();
+  };
+  EXPECT_EQ(value("swfomc_dpll_decisions_total"), stats.decisions);
+  EXPECT_EQ(value("swfomc_dpll_propagations_total"), stats.unit_propagations);
+  EXPECT_EQ(value("swfomc_dpll_component_splits_total"),
+            stats.component_splits);
+  EXPECT_EQ(value("swfomc_dpll_parallel_forks_total"), stats.parallel_forks);
+  EXPECT_EQ(value("swfomc_dpll_cache_lookups_total"), stats.cache_lookups);
+  EXPECT_EQ(value("swfomc_dpll_cache_hits_total"), stats.cache_hits);
+  EXPECT_EQ(value("swfomc_dpll_cache_insertions_total"),
+            stats.cache_insertions);
+  EXPECT_EQ(value("swfomc_dpll_cache_evictions_total"),
+            stats.cache_evictions);
+}
+
+// The grounded triangle lineage at `domain_size`, Tseitin-encoded and
+// weighted exactly as GroundedWFOMC does it.
+struct TriangleCnf {
+  prop::CnfFormula cnf;
+  wmc::WeightMap weights;
+};
+
+TriangleCnf GroundTriangle(std::uint64_t domain_size) {
+  logic::Vocabulary vocab;
+  logic::Formula phi = logic::Parse(
+      "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
+  grounding::TupleIndex index(vocab, domain_size);
+  prop::TseitinResult tseitin = prop::TseitinTransform(
+      grounding::GroundLineage(phi, index),
+      static_cast<std::uint32_t>(index.TupleCount()));
+  wmc::WeightMap weights =
+      grounding::SymmetricGroundWeights(index, tseitin.cnf.variable_count);
+  return TriangleCnf{std::move(tseitin.cnf), std::move(weights)};
+}
+
+TEST(CounterMetrics, RegistryEqualsStatsAtEveryThreadCount) {
+  // Forked children's Stats fold into their parent's; the registry must
+  // count that work once, not once per fold.
+  TriangleCnf triangle = GroundTriangle(4);
+  BigRational reference;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::MetricsRegistry registry;
+    DpllCounter::Options options;
+    options.num_threads = threads;
+    options.parallel_min_component_vars = 2;
+    options.metrics = &registry;
+    DpllCounter counter(triangle.cnf, triangle.weights, options);
+    BigRational value = counter.Count();
+    if (threads == 1) reference = value;
+    EXPECT_EQ(value, reference);
+    if (threads > 1) {
+      EXPECT_GT(counter.stats().parallel_forks, 0u);
+    }
+    ExpectRegistryEquals(&registry, counter.stats());
+  }
+}
+
+TEST(CounterMetrics, TracedCompileRegistryEqualsStatsAndSpanCarriesSize) {
+  obs::MetricsRegistry registry;
+  std::ostringstream trace_out;
+  obs::TraceLog trace(&trace_out);
+  api::Engine::Options options;
+  options.metrics = &registry;
+  options.trace = &trace;
+  logic::Vocabulary vocab;
+  api::Engine engine(vocab, options);
+  logic::Formula phi = engine.Parse(
+      "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))");
+  api::CompileOptions compile;
+  compile.domain_size = 3;
+  compile.method = api::Method::kGrounded;
+  api::CompileResult result = engine.Compile(phi, compile);
+  ASSERT_TRUE(result.compiled.has_value());
+  const DpllCounter::Stats& stats = result.compiled->compile_stats();
+  EXPECT_GT(stats.decisions, 0u);
+  ExpectRegistryEquals(&registry, stats);
+  // The compile span itself reports the search size.
+  std::string records = trace_out.str();
+  std::size_t span = records.find("\"name\":\"compile\"");
+  ASSERT_NE(span, std::string::npos) << records;
+  std::string span_line = records.substr(span, records.find('\n', span) - span);
+  EXPECT_NE(span_line.find("\"decisions\":" +
+                           std::to_string(stats.decisions)),
+            std::string::npos)
+      << span_line;
+}
+
+TEST(CounterMetrics, RepeatedCountsAccumulatePerInvocationStats) {
+  // The component cache persists across Count() calls but Stats are per
+  // invocation, so the registry holds the sum of the two Stats.
+  TriangleCnf triangle = GroundTriangle(4);
+  obs::MetricsRegistry registry;
+  DpllCounter::Options options;
+  options.metrics = &registry;
+  DpllCounter counter(triangle.cnf, triangle.weights, options);
+  BigRational first = counter.Count();
+  DpllCounter::Stats sum = counter.stats();
+  EXPECT_EQ(counter.Count(), first);
+  const DpllCounter::Stats& second = counter.stats();
+  EXPECT_GT(second.cache_hits, 0u);
+  sum.decisions += second.decisions;
+  sum.unit_propagations += second.unit_propagations;
+  sum.component_splits += second.component_splits;
+  sum.parallel_forks += second.parallel_forks;
+  sum.cache_lookups += second.cache_lookups;
+  sum.cache_hits += second.cache_hits;
+  sum.cache_insertions += second.cache_insertions;
+  sum.cache_evictions += second.cache_evictions;
+  ExpectRegistryEquals(&registry, sum);
 }
 
 TEST(ThreadPool, NestedGroupsAndExceptionPropagation) {

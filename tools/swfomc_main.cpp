@@ -34,6 +34,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -246,6 +247,22 @@ std::uint16_t ParsePort(const std::string& text) {
   return static_cast<std::uint16_t>(port);
 }
 
+// The value of the valued flag `name` when argv[*i] spells it either as
+// `name V` (advancing *i past V) or as `name=V`; nullopt when argv[*i] is
+// any other argument.
+std::optional<std::string> FlagValue(const std::string& name, int argc,
+                                     char** argv, int* i) {
+  std::string_view arg = argv[*i];
+  if (arg == name) {
+    if (++*i >= argc) throw UsageError(name + " needs a value");
+    return std::string(argv[*i]);
+  }
+  if (arg.starts_with(name + "=")) {
+    return std::string(arg.substr(name.size() + 1));
+  }
+  return std::nullopt;
+}
+
 std::optional<CliOptions> ParseArgs(int argc, char** argv) {
   CliOptions options;
   if (argc < 2) throw UsageError("no command given");
@@ -260,120 +277,51 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
       options.check = true;
     } else if (arg == "--compact") {
       options.compact = true;
-    } else if (arg == "--threads") {
-      if (++i >= argc) throw UsageError("--threads needs a value");
-      options.run.num_threads = ParseThreadCount(argv[i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.run.num_threads = ParseThreadCount(arg.substr(10));
-    } else if (arg == "--out") {
-      if (++i >= argc) throw UsageError("--out needs a value");
-      options.out_file = argv[i];
-    } else if (arg.rfind("--out=", 0) == 0) {
-      options.out_file = arg.substr(6);
-    } else if (arg == "--out-dir") {
-      if (++i >= argc) throw UsageError("--out-dir needs a value");
-      options.out_dir = argv[i];
-    } else if (arg.rfind("--out-dir=", 0) == 0) {
-      options.out_dir = arg.substr(10);
-    } else if (arg == "--domain") {
-      if (++i >= argc) throw UsageError("--domain needs a value");
-      options.domain = ParseUint64Flag("--domain", argv[i]);
-    } else if (arg.rfind("--domain=", 0) == 0) {
-      options.domain = ParseUint64Flag("--domain", arg.substr(9));
-    } else if (arg == "--budget-ms") {
-      if (++i >= argc) throw UsageError("--budget-ms needs a value");
-      options.run.limits.budget_ms = ParseUint64Flag("--budget-ms", argv[i]);
-    } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      options.run.limits.budget_ms =
-          ParseUint64Flag("--budget-ms", arg.substr(12));
-    } else if (arg == "--max-decisions") {
-      if (++i >= argc) throw UsageError("--max-decisions needs a value");
+    } else if (auto value = FlagValue("--threads", argc, argv, &i)) {
+      options.run.num_threads = ParseThreadCount(*value);
+    } else if (auto value = FlagValue("--out", argc, argv, &i)) {
+      options.out_file = *value;
+    } else if (auto value = FlagValue("--out-dir", argc, argv, &i)) {
+      options.out_dir = *value;
+    } else if (auto value = FlagValue("--domain", argc, argv, &i)) {
+      options.domain = ParseUint64Flag("--domain", *value);
+    } else if (auto value = FlagValue("--budget-ms", argc, argv, &i)) {
+      options.run.limits.budget_ms = ParseUint64Flag("--budget-ms", *value);
+    } else if (auto value = FlagValue("--max-decisions", argc, argv, &i)) {
       options.run.limits.max_decisions =
-          ParseUint64Flag("--max-decisions", argv[i]);
-    } else if (arg.rfind("--max-decisions=", 0) == 0) {
-      options.run.limits.max_decisions =
-          ParseUint64Flag("--max-decisions", arg.substr(16));
-    } else if (arg == "--max-memory") {
-      if (++i >= argc) throw UsageError("--max-memory needs a value");
+          ParseUint64Flag("--max-decisions", *value);
+    } else if (auto value = FlagValue("--max-memory", argc, argv, &i)) {
       options.run.limits.max_memory_bytes =
-          ParseMemorySize("--max-memory", argv[i]);
-    } else if (arg.rfind("--max-memory=", 0) == 0) {
-      options.run.limits.max_memory_bytes =
-          ParseMemorySize("--max-memory", arg.substr(13));
-    } else if (arg == "--listen") {
-      if (++i >= argc) throw UsageError("--listen needs a value");
-      options.listen_port = ParsePort(argv[i]);
-    } else if (arg.rfind("--listen=", 0) == 0) {
-      options.listen_port = ParsePort(arg.substr(9));
-    } else if (arg == "--max-circuits") {
-      if (++i >= argc) throw UsageError("--max-circuits needs a value");
-      options.max_circuits = ParseUint64Flag("--max-circuits", argv[i]);
-    } else if (arg.rfind("--max-circuits=", 0) == 0) {
-      options.max_circuits =
-          ParseUint64Flag("--max-circuits", arg.substr(15));
-    } else if (arg == "--max-circuit-bytes") {
-      if (++i >= argc) throw UsageError("--max-circuit-bytes needs a value");
+          ParseMemorySize("--max-memory", *value);
+    } else if (auto value = FlagValue("--listen", argc, argv, &i)) {
+      options.listen_port = ParsePort(*value);
+    } else if (auto value = FlagValue("--max-circuits", argc, argv, &i)) {
+      options.max_circuits = ParseUint64Flag("--max-circuits", *value);
+    } else if (auto value = FlagValue("--max-circuit-bytes", argc, argv, &i)) {
       options.max_circuit_bytes =
-          ParseMemorySize("--max-circuit-bytes", argv[i]);
-    } else if (arg.rfind("--max-circuit-bytes=", 0) == 0) {
-      options.max_circuit_bytes =
-          ParseMemorySize("--max-circuit-bytes", arg.substr(20));
-    } else if (arg == "--max-request-bytes") {
-      if (++i >= argc) throw UsageError("--max-request-bytes needs a value");
+          ParseMemorySize("--max-circuit-bytes", *value);
+    } else if (auto value = FlagValue("--max-request-bytes", argc, argv, &i)) {
       options.max_request_bytes =
-          ParseMemorySize("--max-request-bytes", argv[i]);
-    } else if (arg.rfind("--max-request-bytes=", 0) == 0) {
-      options.max_request_bytes =
-          ParseMemorySize("--max-request-bytes", arg.substr(20));
-    } else if (arg == "--metrics-out") {
-      if (++i >= argc) throw UsageError("--metrics-out needs a value");
-      options.metrics_out = argv[i];
-      if (options.metrics_out.empty()) {
-        throw UsageError("--metrics-out needs a value");
-      }
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      options.metrics_out = arg.substr(14);
-      if (options.metrics_out.empty()) {
-        throw UsageError("--metrics-out needs a value");
-      }
-    } else if (arg == "--trace-out") {
-      if (++i >= argc) throw UsageError("--trace-out needs a value");
-      options.trace_out = argv[i];
-      if (options.trace_out.empty()) {
-        throw UsageError("--trace-out needs a value");
-      }
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      options.trace_out = arg.substr(12);
-      if (options.trace_out.empty()) {
-        throw UsageError("--trace-out needs a value");
-      }
-    } else if (arg == "--on-budget" || arg.rfind("--on-budget=", 0) == 0) {
-      std::string name;
-      if (arg == "--on-budget") {
-        if (++i >= argc) throw UsageError("--on-budget needs a value");
-        name = argv[i];
-      } else {
-        name = arg.substr(12);
-      }
-      if (name == "bounds") {
+          ParseMemorySize("--max-request-bytes", *value);
+    } else if (auto value = FlagValue("--metrics-out", argc, argv, &i)) {
+      if (value->empty()) throw UsageError("--metrics-out needs a value");
+      options.metrics_out = *value;
+    } else if (auto value = FlagValue("--trace-out", argc, argv, &i)) {
+      if (value->empty()) throw UsageError("--trace-out needs a value");
+      options.trace_out = *value;
+    } else if (auto value = FlagValue("--on-budget", argc, argv, &i)) {
+      if (*value == "bounds") {
         options.on_budget = OnBudget::kBounds;
-      } else if (name == "error") {
+      } else if (*value == "error") {
         options.on_budget = OnBudget::kError;
       } else {
-        throw UsageError("bad --on-budget value '" + name +
+        throw UsageError("bad --on-budget value '" + *value +
                          "' (expected bounds or error)");
       }
-    } else if (arg == "--method" || arg.rfind("--method=", 0) == 0) {
-      std::string name;
-      if (arg == "--method") {
-        if (++i >= argc) throw UsageError("--method needs a value");
-        name = argv[i];
-      } else {
-        name = arg.substr(9);
-      }
-      auto method = swfomc::io::ParseMethodName(name);
+    } else if (auto value = FlagValue("--method", argc, argv, &i)) {
+      auto method = swfomc::io::ParseMethodName(*value);
       if (!method.has_value()) {
-        throw UsageError("unknown method '" + name + "'");
+        throw UsageError("unknown method '" + *value + "'");
       }
       options.run.method_override = *method;
     } else if (arg.rfind("--", 0) == 0) {
