@@ -120,4 +120,28 @@ else
   expect_metric swfomc_serve_batch_size_count 4
 fi
 
+# Second session: the circuit cache through the real binary. A lifted
+# circuit compiled at domain 3 answers domain 5 from the cache, and a
+# sentence over fewer relations never reuses another sentence's circuit.
+cat > "$requests" <<'EOF'
+{"id": 1, "sentence": "forall x exists y S(x,y)", "domain": 3}
+{"id": 2, "sentence": "forall x exists y S(x,y)", "domain": 5}
+{"id": 3, "sentence": "forall x S(x)", "domain": 3}
+{"cmd": "quit"}
+EOF
+
+"$bin" serve < "$requests" > "$responses"
+code=$?
+if [[ "$code" != 0 ]]; then
+  echo "FAIL: second serve session exited $code (want 0)"
+  failures=1
+fi
+check 1 "lifted circuit compiled at domain 3" \
+  '"id":1' '"kind":"lifted"' '"cached":false' '"wfomc":"343"'
+check 2 "domain 5 reuses the lifted circuit" \
+  '"id":2' '"cached":true' '"wfomc":"28629151"'
+check 3 "a different sentence gets its own circuit" \
+  '"id":3' '"cached":false' '"wfomc":"1"'
+check 4 "quit acknowledges and closes" '"status":"ok"' '"bye":true'
+
 exit "$failures"

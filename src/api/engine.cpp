@@ -134,6 +134,14 @@ struct QueryScope {
   }
 };
 
+// Adds a grounded search's size to its query span.
+void AddSearchFields(const wmc::DpllCounter::Stats& stats,
+                     obs::TraceLog::Span* span) {
+  span->Num("decisions", stats.decisions)
+      .Num("propagations", stats.unit_propagations)
+      .Num("splits", stats.component_splits);
+}
+
 // Resident bytes of a vocabulary snapshot: the relation records, both
 // copies of every name (the record and the by-name index key), the weight
 // limb buffers, and an approximation of the index's per-entry node
@@ -239,14 +247,9 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
   result.method = method;
   result.domain_size = domain_size;
   SweepPoint& point = result;
-  wmc::DpllCounter::Stats stats;
-  CountPoints(sentence, method, governance, "Engine::WFOMC", {&point, 1},
-              &stats);
-  if (method == Method::kGrounded) {
-    result.grounded_stats = stats;
-    scope.span.Num("decisions", stats.decisions)
-        .Num("propagations", stats.unit_propagations)
-        .Num("splits", stats.component_splits);
+  CountPoints(sentence, method, governance, "Engine::WFOMC", {&point, 1});
+  if (result.grounded_stats.has_value()) {
+    AddSearchFields(*result.grounded_stats, &scope.span);
   }
   scope.span.Str("outcome", ToString(result.outcome));
   return result;
@@ -272,8 +275,14 @@ Engine::SweepResult Engine::WFOMCSweep(
     sweep.points[i].domain_size = n_lo + i;
   }
   CountPoints(sentence, method, governance, "Engine::WFOMCSweep",
-              sweep.points, nullptr);
+              sweep.points);
+  wmc::DpllCounter::Stats searched;  // the three span fields, summed
   for (const SweepPoint& point : sweep.points) {
+    if (point.grounded_stats.has_value()) {
+      searched.decisions += point.grounded_stats->decisions;
+      searched.unit_propagations += point.grounded_stats->unit_propagations;
+      searched.component_splits += point.grounded_stats->component_splits;
+    }
     if (point.outcome == Outcome::kAborted ||
         (point.outcome == Outcome::kBounds &&
          sweep.outcome == Outcome::kExact)) {
@@ -283,21 +292,21 @@ Engine::SweepResult Engine::WFOMCSweep(
       sweep.stop_reason = point.stop_reason;
     }
   }
+  if (method == Method::kGrounded) AddSearchFields(searched, &scope.span);
   return sweep;
 }
 
 void Engine::CountPoints(const logic::Formula& sentence, Method method,
                          const runtime::Governance& governance,
-                         const char* who, std::span<SweepPoint> points,
-                         wmc::DpllCounter::Stats* stats) {
+                         const char* who, std::span<SweepPoint> points) {
   switch (method) {
     case Method::kLiftedFO2: {
-      // One lifted circuit, Pascal-row table and value column per call,
-      // evaluated at every n >= 1. At n = 0 the normal form behind the
-      // circuit is invalid, so that point enumerates the 0-ary worlds
-      // directly; the compile waits for the first n >= 1 point so an
-      // n = 0 call never runs it.
-      std::optional<nnf::LiftedCircuit> circuit;
+      // The engine's cached lifted circuit under the current weights, with
+      // one Pascal-row table and value column per call, evaluated at every
+      // n >= 1. At n = 0 the normal form behind the circuit is invalid, so
+      // that point enumerates the 0-ary worlds directly; the lookup waits
+      // for the first n >= 1 point so an n = 0 call never compiles.
+      std::shared_ptr<const CompiledQuery> compiled;
       nnf::LiftedCircuit::Weights weights;
       numeric::BinomialTable binomials;
       std::vector<BigRational> values;
@@ -306,12 +315,22 @@ void Engine::CountPoints(const logic::Formula& sentence, Method method,
           point.value = fo2::LiftedWFOMC(sentence, vocabulary_, 0);
           continue;
         }
-        if (!circuit.has_value()) {
-          circuit = fo2::CompileLifted(sentence, vocabulary_);
-          weights = circuit->DefaultWeights();
+        if (compiled == nullptr) {
+          compiled = circuits_
+                         .GetOrCompile(sentence, vocabulary_,
+                                       Method::kLiftedFO2, 0,
+                                       [&] { return CompileLifted(sentence); })
+                         .query;
+          // The circuit's relation table extends the vocabulary in id
+          // order; the appended Def/Sk predicates keep their fixed weights.
+          weights = compiled->lifted_circuit().DefaultWeights();
+          for (logic::RelationId id = 0; id < vocabulary_.size(); ++id) {
+            weights[id] = {vocabulary_.positive_weight(id),
+                           vocabulary_.negative_weight(id)};
+          }
         }
-        point.value = circuit->Evaluate(point.domain_size, weights,
-                                        &binomials, &values);
+        point.value = compiled->lifted_circuit().Evaluate(
+            point.domain_size, weights, &binomials, &values);
       }
       return;
     }
@@ -341,13 +360,12 @@ void Engine::CountPoints(const logic::Formula& sentence, Method method,
       // by all points together, so which points degrade to bounds can
       // vary with the schedule (the bracket guarantee holds per point
       // regardless).
-      auto count_point = [&](SweepPoint* point, unsigned point_threads,
-                             wmc::DpllCounter::Stats* point_stats) {
+      auto count_point = [&](SweepPoint* point, unsigned point_threads) {
         wmc::DpllCounter::CountResult counted =
             grounding::GroundedWFOMCBounded(
                 sentence, vocabulary_, point->domain_size,
                 CounterOptions(options_, point_threads, governance),
-                point_stats);
+                &point->grounded_stats.emplace());
         // The value when exact, the certified bounds (value = lower)
         // when bounded, neither when aborted.
         point->outcome = counted.outcome;
@@ -366,7 +384,7 @@ void Engine::CountPoints(const logic::Formula& sentence, Method method,
         // single-point sweep still parallelizes *inside* the counter,
         // exactly like the equivalent WFOMC call.
         for (SweepPoint& point : points) {
-          count_point(&point, options_.num_threads, stats);
+          count_point(&point, options_.num_threads);
         }
       } else {
         runtime::ThreadPool pool(
@@ -375,7 +393,7 @@ void Engine::CountPoints(const logic::Formula& sentence, Method method,
         runtime::TaskGroup group(&pool);
         for (SweepPoint& point : points) {
           group.Submit(
-              [&count_point, &point] { count_point(&point, 1, nullptr); });
+              [&count_point, &point] { count_point(&point, 1); });
         }
         group.Wait();
       }
@@ -488,18 +506,8 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
   CompileResult result;
   result.method = method;
   switch (method) {
-    case Method::kLiftedFO2: {
-      // Polynomial in the sentence; runs ungoverned like every lifted
-      // path. options.domain_size is irrelevant — the circuit answers
-      // every n >= 1.
-      CompiledQuery compiled;
-      compiled.kind_ = CompiledQuery::Kind::kLifted;
-      compiled.lifted_circuit_ = fo2::CompileLifted(
-          sentence, vocabulary_, &compiled.lifted_compile_stats_);
-      compiled.vocabulary_ = vocabulary_;
-      result.compiled = std::move(compiled);
-      return result;
-    }
+    case Method::kLiftedFO2:
+      return CompileLifted(sentence);
     case Method::kGammaAcyclic:
       throw std::invalid_argument(
           "Engine::Compile: the gamma-acyclic evaluator has no circuit "
@@ -535,9 +543,7 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
                            counter_options);
 
   wmc::DpllCounter::CountResult counted = counter.CountBounded();
-  scope.span.Num("decisions", counter.stats().decisions)
-      .Num("propagations", counter.stats().unit_propagations)
-      .Num("splits", counter.stats().component_splits);
+  AddSearchFields(counter.stats(), &scope.span);
   result.stop_reason = counted.stop_reason;
   if (counted.outcome != Outcome::kExact) {
     // A stopped trace contains placeholder FALSE nodes for the abandoned
@@ -563,6 +569,20 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
   result.outcome = Outcome::kExact;
   result.compiled = std::move(compiled);
   scope.span.Str("outcome", ToString(result.outcome));
+  return result;
+}
+
+CompileResult Engine::CompileLifted(const logic::Formula& sentence) const {
+  // Polynomial in the sentence; runs ungoverned like every lifted path,
+  // and the circuit answers every n >= 1.
+  CompiledQuery compiled;
+  compiled.kind_ = CompiledQuery::Kind::kLifted;
+  compiled.lifted_circuit_ = fo2::CompileLifted(
+      sentence, vocabulary_, &compiled.lifted_compile_stats_);
+  compiled.vocabulary_ = vocabulary_;
+  CompileResult result;
+  result.method = Method::kLiftedFO2;
+  result.compiled = std::move(compiled);
   return result;
 }
 

@@ -2,9 +2,14 @@
 #define SWFOMC_API_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
+#include <list>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fo2/lifted_compiler.h"
@@ -113,8 +118,8 @@ class CompiledQuery {
 
   /// Approximate resident bytes: the circuit's arenas plus the ground
   /// tuple → relation map, the compile count's limb buffers, and the
-  /// vocabulary snapshot's strings and weights. Lets a circuit cache
-  /// bound its footprint (swfomc serve's LRU).
+  /// vocabulary snapshot's strings and weights. Lets CircuitCache bound
+  /// its footprint.
   std::size_t MemoryBytes() const;
 
   /// WFOMC(Φ, n) with the listed relations' weights replaced (relations
@@ -192,6 +197,87 @@ struct CompileResult {
   std::optional<CompiledQuery> compiled;
 };
 
+/// A bounded LRU of compiled circuits: each Engine keeps one for its
+/// lifted points, and swfomc serve keeps one per server. Bounded by entry
+/// count and resident bytes (CompiledQuery::MemoryBytes plus key and
+/// bookkeeping overhead); a circuit bigger than the whole byte bound on
+/// its own is served but not cached, mirroring ComponentCache's policy.
+/// Thread-safe: lookups and inserts take one mutex, and compilation runs
+/// outside it, so a slow compile never blocks lookups of other circuits.
+class CircuitCache {
+ public:
+  static constexpr std::size_t kDefaultMaxCircuits = 64;
+  static constexpr std::size_t kDefaultMaxBytes = std::size_t{256} << 20;
+
+  /// Where the cache counts its events and publishes its levels (not
+  /// owned; a null instrument is skipped).
+  struct Metrics {
+    obs::Counter* hits = nullptr;
+    obs::Counter* misses = nullptr;
+    obs::Counter* evictions = nullptr;
+    obs::Counter* evicted_bytes = nullptr;  // bytes of the evicted entries
+    obs::Gauge* circuits = nullptr;
+    obs::Gauge* bytes = nullptr;
+    obs::Gauge* bytes_peak = nullptr;
+  };
+
+  /// Resident entries and their bytes, and the bytes' high-water mark.
+  struct Levels {
+    std::size_t circuits = 0;
+    std::size_t bytes = 0;
+    std::size_t bytes_peak = 0;
+  };
+
+  CircuitCache();  // the default bounds, unpublished
+  CircuitCache(std::size_t max_circuits, std::size_t max_bytes,
+               Metrics metrics);
+
+  CircuitCache(const CircuitCache&) = delete;
+  CircuitCache& operator=(const CircuitCache&) = delete;
+
+  struct Lookup {
+    /// The circuit; null when a miss's compile did not end exact.
+    std::shared_ptr<const CompiledQuery> query;
+    /// Served from the cache, without compiling.
+    bool cached = false;
+    /// A miss's compile outcome (its circuit moved into `query`).
+    CompileResult compile;
+  };
+
+  /// The circuit `method` (kLiftedFO2 or kGrounded) compiles for
+  /// `sentence` over `vocabulary`: from the cache, or from `compile` on a
+  /// miss, caching an exact result. The key is the canonical sentence,
+  /// the vocabulary's relation signature (names and arities in id order —
+  /// a relation the sentence does not mention still changes the count),
+  /// and, for a grounded circuit only, `domain_size`; the weights are not
+  /// part of it, since no circuit depends on them.
+  Lookup GetOrCompile(const logic::Formula& sentence,
+                      const logic::Vocabulary& vocabulary, Method method,
+                      std::uint64_t domain_size,
+                      const std::function<CompileResult()>& compile);
+
+  Levels levels() const;
+
+ private:
+  struct Entry {
+    std::string key;
+    std::shared_ptr<const CompiledQuery> query;
+    std::size_t bytes = 0;
+  };
+
+  /// Inserts (or refreshes) a circuit and evicts past either bound.
+  void Insert(const std::string& key,
+              std::shared_ptr<const CompiledQuery> query);
+
+  const std::size_t max_circuits_;
+  const std::size_t max_bytes_;
+  const Metrics metrics_;
+  mutable std::mutex mutex_;
+  std::list<Entry> lru_;  // most recently used at the front
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  Levels levels_;
+};
+
 /// The library facade: one entry point for symmetric WFOMC over a weighted
 /// vocabulary. `Auto` routing sends
 ///   * FO² sentences (arity <= 2, no constants) to the lifted cell
@@ -203,7 +289,11 @@ struct CompileResult {
 ///   * everything else to the grounded DPLL engine.
 /// Routing never changes the answer, only the complexity — and neither
 /// does threading: every parallel configuration returns counts
-/// bit-identical to the sequential ones.
+/// bit-identical to the sequential ones. Each engine compiles a lifted
+/// sentence once: its CircuitCache keeps the circuit for every later
+/// WFOMC, FOMC, Probability, Mu or WFOMCSweep call on the same sentence
+/// and relation signature, evaluated under the engine's weights at the
+/// time of the call.
 class Engine {
  public:
   struct Options {
@@ -241,19 +331,19 @@ class Engine {
     std::optional<BoundsResult> bounds;
     /// Why a governed query stopped (kNone when it ran to completion).
     runtime::StopReason stop_reason = runtime::StopReason::kNone;
+    /// The DPLL counter's search/cache counters when the point was
+    /// counted grounded (the lifted paths never run the counter).
+    std::optional<wmc::DpllCounter::Stats> grounded_stats;
   };
 
   /// A single-point answer: the point plus which algorithm answered it.
   struct Result : SweepPoint {
     Method method = Method::kGrounded;
-    /// The DPLL counter's search/cache counters when `method` was
-    /// kGrounded (the lifted paths never run the counter).
-    std::optional<wmc::DpllCounter::Stats> grounded_stats;
   };
 
-  /// Symmetric WFOMC(Φ, n, w, w̄): the one-point WFOMCSweep, plus the
-  /// grounded counter's stats. A grounded search stopped by `governance`
-  /// reports Outcome::kBounds (or kAborted) instead of spinning.
+  /// Symmetric WFOMC(Φ, n, w, w̄): the one-point WFOMCSweep. A grounded
+  /// search stopped by `governance` reports Outcome::kBounds (or
+  /// kAborted) instead of spinning.
   Result WFOMC(const logic::Formula& sentence, std::uint64_t domain_size,
                Method method = Method::kAuto,
                const runtime::Governance& governance = {});
@@ -272,12 +362,13 @@ class Engine {
   /// Batched WFOMC(Φ, n, w, w̄) for every n in [n_lo, n_hi] — the
   /// domain-size sweep the paper's experiments run. Routes once and
   /// reuses the shared structure a point-by-point loop rebuilds:
-  ///   * lifted FO²: the sentence is compiled into one lifted circuit
-  ///     and one binomial table serves every point's evaluation;
+  ///   * lifted FO²: the engine's one lifted circuit for the sentence
+  ///     and one binomial table serve every point's evaluation;
   ///   * γ-acyclic: the conjunctive query and its weight map are
   ///     extracted once;
   ///   * grounded: sweep points are independent and run concurrently on
-  ///     the thread pool when Options::num_threads != 1.
+  ///     the thread pool when Options::num_threads != 1; each point
+  ///     carries its own grounded_stats.
   /// Results are bit-identical to calling WFOMC per point, in every
   /// threading configuration. `governance` covers the whole sweep (one
   /// budget drains across every point). Throws std::invalid_argument
@@ -331,6 +422,9 @@ class Engine {
   bool HasModelOfSize(const logic::Formula& sentence,
                       std::uint64_t domain_size);
 
+  /// The engine's lifted circuits (for inspection/testing).
+  const CircuitCache& circuit_cache() const { return circuits_; }
+
   /// The routing decision Auto would take (for inspection/testing).
   Method Route(const logic::Formula& sentence) const;
 
@@ -341,15 +435,17 @@ class Engine {
  private:
   /// The one route switch behind WFOMC and WFOMCSweep: fills every
   /// point's answer (its domain_size preset) by `method` (not kAuto).
-  /// `who` prefixes error messages; `stats`, when non-null, receives a
-  /// grounded count's counters.
+  /// `who` prefixes error messages.
   void CountPoints(const logic::Formula& sentence, Method method,
                    const runtime::Governance& governance, const char* who,
-                   std::span<SweepPoint> points,
-                   wmc::DpllCounter::Stats* stats);
+                   std::span<SweepPoint> points);
+
+  /// Compile's lifted leg, without its query scope.
+  CompileResult CompileLifted(const logic::Formula& sentence) const;
 
   logic::Vocabulary vocabulary_;
   Options options_;
+  CircuitCache circuits_;  // lifted circuits only
 };
 
 }  // namespace swfomc::api

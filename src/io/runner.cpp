@@ -122,7 +122,6 @@ ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
         engine.WFOMC(spec.sentence, spec.domain_lo, method, governance);
     report.outcome = result.outcome;
     report.stop_reason = result.stop_reason;
-    report.grounded_stats = std::move(result.grounded_stats);
     report.points.push_back(std::move(result));
   }
   report.elapsed_seconds = SecondsSince(start);
@@ -372,6 +371,11 @@ JsonValue ToJson(const ModelRunReport& report) {
         report.outcome != api::Outcome::kExact) {
       AddOutcomeFields(&entry, point.outcome, point.stop_reason);
     }
+    // A grounded sweep reports each point's search; a single point's
+    // search is the report's top-level `stats`.
+    if (point.grounded_stats.has_value() && report.points.size() > 1) {
+      entry.Add("stats", ToJson(*point.grounded_stats));
+    }
     if (const numeric::BigRational* expect =
             ExpectForPoint(report, point.domain_size)) {
       entry.Add("expect", JsonValue::MakeString(expect->ToString()));
@@ -386,8 +390,8 @@ JsonValue ToJson(const ModelRunReport& report) {
     AddOutcomeFields(&json, report.outcome, report.stop_reason);
   }
 
-  if (report.grounded_stats.has_value()) {
-    json.Add("stats", ToJson(*report.grounded_stats));
+  if (report.points.size() == 1 && report.points[0].grounded_stats) {
+    json.Add("stats", ToJson(*report.points[0].grounded_stats));
   }
   json.Add("elapsed_seconds", JsonValue::MakeNumber(report.elapsed_seconds));
   if (report.expected.has_value()) {

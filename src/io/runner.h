@@ -63,9 +63,6 @@ struct ModelRunReport {
   /// the first stop reason, for governed runs; kExact/kNone otherwise.
   api::Outcome outcome = api::Outcome::kExact;
   runtime::StopReason stop_reason = runtime::StopReason::kNone;
-  /// DPLL counter statistics; present for single-point grounded runs
-  /// (sweeps share no single counter, so they report none).
-  std::optional<wmc::DpllCounter::Stats> grounded_stats;
   double elapsed_seconds = 0.0;
   std::optional<numeric::BigRational> expected;  // the plain `expect`
   /// The `expect N = VALUE` directives, ascending in N.

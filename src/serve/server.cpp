@@ -32,12 +32,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Per-entry bookkeeping beyond CompiledQuery::MemoryBytes: the key
-/// string, the list node, and the index slot (same estimation style as
-/// ComponentCache::kEntryOverheadBytes).
-constexpr std::size_t kCacheEntryOverheadBytes =
-    sizeof(std::string) + sizeof(void*) * 4 + sizeof(std::size_t) * 2;
-
 /// JSON numbers arrive as verbatim decimal strings; budgets and domain
 /// sizes must be plain non-negative integers.
 std::optional<std::uint64_t> Uint64FromJson(const JsonValue& value) {
@@ -85,30 +79,26 @@ JsonValue MakeError(const JsonValue* id, const std::string& message) {
 }
 
 /// One governed direct count (the compile-aborted fallback and the
-/// "direct" mode): a fresh engine and a fresh budget per weight vector,
-/// so every vector gets the full envelope and certified bounds where the
+/// "direct" mode) on the request's engine: the parse-time weights (1, 1)
+/// overlaid with `reweights`, and a fresh budget per weight vector, so
+/// every vector gets the full envelope and certified bounds where the
 /// search cannot finish.
-JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
-                       const logic::Formula& sentence,
+JsonValue DirectResult(api::Engine* engine, const logic::Formula& sentence,
                        std::uint64_t domain_size,
                        const std::vector<api::RelationWeights>& reweights,
                        api::Method method,
-                       const runtime::BudgetLimits& envelope,
-                       unsigned num_threads, obs::MetricsRegistry* metrics,
-                       obs::TraceLog* trace) {
-  logic::Vocabulary vocabulary = base_vocabulary;
+                       const runtime::BudgetLimits& envelope) {
+  logic::Vocabulary* vocabulary = engine->mutable_vocabulary();
+  for (logic::RelationId id = 0; id < vocabulary->size(); ++id) {
+    vocabulary->SetWeights(id, 1, 1);
+  }
   for (const api::RelationWeights& weights : reweights) {
     // Parsing validated the names; Find cannot miss here.
-    vocabulary.SetWeights(*vocabulary.Find(weights.relation),
-                          weights.positive, weights.negative);
+    vocabulary->SetWeights(*vocabulary->Find(weights.relation),
+                           weights.positive, weights.negative);
   }
-  api::Engine::Options engine_options;
-  engine_options.num_threads = num_threads;
-  engine_options.metrics = metrics;
-  engine_options.trace = trace;
-  api::Engine engine(std::move(vocabulary), engine_options);
   runtime::Budget budget;
-  api::Engine::Result result = engine.WFOMC(
+  api::Engine::Result result = engine->WFOMC(
       sentence, domain_size, method,
       runtime::Governance{envelope.Arm(&budget)});
   JsonValue entry = JsonValue::MakeObject();
@@ -167,39 +157,47 @@ class FdStreamBuf : public std::streambuf {
 
 }  // namespace
 
-Server::Server(ServerOptions options) : options_(std::move(options)) {
-  m_.requests = registry_.GetCounter("swfomc_serve_requests_total",
-                                     "Requests handled (ok or error)");
-  m_.errors = registry_.GetCounter("swfomc_serve_errors_total",
-                                   "Requests answered with status error");
-  m_.cache_hits = registry_.GetCounter(
-      "swfomc_serve_cache_hits_total",
-      "Queries answered from a cached compiled circuit");
-  m_.cache_misses = registry_.GetCounter("swfomc_serve_cache_misses_total",
-                                         "Circuit-cache lookup misses");
-  m_.evictions = registry_.GetCounter("swfomc_serve_cache_evictions_total",
-                                      "Circuits evicted from the LRU");
-  m_.evicted_bytes =
-      registry_.GetCounter("swfomc_serve_cache_evicted_bytes_total",
-                           "Bytes accounted to evicted circuits");
-  m_.circuits = registry_.GetGauge("swfomc_serve_cache_circuits",
-                                   "Circuits resident in the LRU");
-  m_.circuit_bytes = registry_.GetGauge("swfomc_serve_cache_bytes",
-                                        "Bytes resident in the circuit LRU");
-  m_.circuit_bytes_peak =
-      registry_.GetGauge("swfomc_serve_cache_bytes_peak",
-                         "High-water mark of resident circuit bytes");
-  m_.inflight = registry_.GetGauge("swfomc_serve_inflight",
-                                   "Query requests currently executing");
-  m_.warm_usec = registry_.GetHistogram(
+Server::Instruments Server::MakeInstruments(obs::MetricsRegistry* registry) {
+  Instruments m;
+  m.requests = registry->GetCounter("swfomc_serve_requests_total",
+                                    "Requests handled (ok or error)");
+  m.errors = registry->GetCounter("swfomc_serve_errors_total",
+                                  "Requests answered with status error");
+  m.inflight = registry->GetGauge("swfomc_serve_inflight",
+                                  "Query requests currently executing");
+  m.warm_usec = registry->GetHistogram(
       "swfomc_serve_request_usec_warm",
       "Microseconds per query served from a cached circuit");
-  m_.cold_usec = registry_.GetHistogram(
+  m.cold_usec = registry->GetHistogram(
       "swfomc_serve_request_usec_cold",
       "Microseconds per query that compiled or counted directly");
-  m_.batch_size = registry_.GetHistogram(
-      "swfomc_serve_batch_size", "Weight vectors per query request");
+  m.batch_size = registry->GetHistogram("swfomc_serve_batch_size",
+                                        "Weight vectors per query request");
+  m.cache.hits = registry->GetCounter(
+      "swfomc_serve_cache_hits_total",
+      "Queries answered from a cached compiled circuit");
+  m.cache.misses = registry->GetCounter("swfomc_serve_cache_misses_total",
+                                        "Circuit-cache lookup misses");
+  m.cache.evictions = registry->GetCounter(
+      "swfomc_serve_cache_evictions_total", "Circuits evicted from the LRU");
+  m.cache.evicted_bytes =
+      registry->GetCounter("swfomc_serve_cache_evicted_bytes_total",
+                           "Bytes accounted to evicted circuits");
+  m.cache.circuits = registry->GetGauge("swfomc_serve_cache_circuits",
+                                        "Circuits resident in the LRU");
+  m.cache.bytes = registry->GetGauge("swfomc_serve_cache_bytes",
+                                     "Bytes resident in the circuit LRU");
+  m.cache.bytes_peak =
+      registry->GetGauge("swfomc_serve_cache_bytes_peak",
+                         "High-water mark of resident circuit bytes");
+  return m;
+}
 
+Server::Server(ServerOptions options)
+    : options_(std::move(options)),
+      m_(MakeInstruments(&registry_)),
+      circuits_(options_.max_circuits, options_.max_circuit_bytes,
+                m_.cache) {
   unsigned threads = runtime::ThreadPool::ResolveThreadCount(
       options_.num_threads == 0 ? 0 : options_.num_threads);
   options_.num_threads = threads;
@@ -379,16 +377,22 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
     method = *parsed;
   }
 
-  // Parse the sentence into a fresh vocabulary (every relation defaults
-  // to weights (1, 1); the request's weight vectors reweight from there).
-  api::Engine parser{logic::Vocabulary{}};
+  // The request's one engine: it parses the sentence into a fresh
+  // vocabulary (every relation defaults to weights (1, 1); the request's
+  // weight vectors reweight from there), routes, compiles on a cache
+  // miss, and runs the direct counts.
+  api::Engine::Options engine_options;
+  engine_options.num_threads = options_.num_threads;
+  engine_options.metrics = &registry_;
+  engine_options.trace = options_.trace;
+  api::Engine engine{logic::Vocabulary{}, engine_options};
   logic::Formula sentence;
   try {
-    sentence = parser.Parse(sentence_member->string);
+    sentence = engine.Parse(sentence_member->string);
   } catch (const std::exception& error) {
     return MakeError(id, std::string("bad sentence: ") + error.what());
   }
-  const logic::Vocabulary& vocabulary = parser.vocabulary();
+  const logic::Vocabulary& vocabulary = engine.vocabulary();
   std::string canonical = logic::ToString(sentence, vocabulary);
 
   // Weight vectors: absent -> one all-default vector; a single object is
@@ -462,10 +466,8 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
         continue;
       }
       try {
-        results[i] =
-            DirectResult(vocabulary, sentence, *domain, vectors[i].reweights,
-                         method, envelope, options_.num_threads, &registry_,
-                         options_.trace);
+        results[i] = DirectResult(&engine, sentence, *domain,
+                                  vectors[i].reweights, method, envelope);
       } catch (const std::exception& error) {
         results[i] = MakeError(nullptr, error.what());
       }
@@ -475,42 +477,33 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
   if (mode == "direct") {
     direct_all();
   } else {
-    // Liftable sentences cache under the canonical sentence alone: one
-    // lifted circuit answers every domain size, so requests at different
-    // n share the entry. Grounded circuits are fixed-n and key on
-    // (sentence, n).
-    api::Engine router{logic::Vocabulary(vocabulary)};
-    bool lifted = router.CanCompileLifted(sentence, *domain);
-    std::string key = canonical;
-    if (!lifted) {
-      key.push_back('\x1f');
-      key += std::to_string(*domain);
+    // One lifted circuit answers every domain size, so requests at
+    // different n share its entry; grounded circuits are fixed-n.
+    runtime::Budget budget;
+    api::CompileOptions compile_options;
+    compile_options.domain_size = *domain;
+    compile_options.method = engine.CanCompileLifted(sentence, *domain)
+                                 ? api::Method::kLiftedFO2
+                                 : api::Method::kGrounded;
+    auto compile_start = std::chrono::steady_clock::now();
+    api::CircuitCache::Lookup lookup;
+    try {
+      lookup = circuits_.GetOrCompile(
+          sentence, vocabulary, compile_options.method, *domain, [&] {
+            compile_options.governance.budget = envelope.Arm(&budget);
+            return engine.Compile(sentence, compile_options);
+          });
+    } catch (const std::exception& error) {
+      return MakeError(id, std::string("compile failed: ") + error.what());
     }
-
-    std::shared_ptr<const api::CompiledQuery> query = CacheLookup(key);
-    bool cached = query != nullptr;
+    const std::shared_ptr<const api::CompiledQuery>& query = lookup.query;
+    bool cached = lookup.cached;
     latency.warm = cached;
     span.Bool("cached", cached);
     if (!cached) {
-      api::Engine::Options compiler_options;
-      compiler_options.metrics = &registry_;
-      compiler_options.trace = options_.trace;
-      api::Engine compiler{logic::Vocabulary(vocabulary), compiler_options};
-      runtime::Budget budget;
-      api::CompileOptions compile_options;
-      compile_options.domain_size = *domain;
-      compile_options.method =
-          lifted ? api::Method::kLiftedFO2 : api::Method::kGrounded;
-      compile_options.governance.budget = envelope.Arm(&budget);
-      auto compile_start = std::chrono::steady_clock::now();
-      api::CompileResult compiled;
-      try {
-        compiled = compiler.Compile(sentence, compile_options);
-      } catch (const std::exception& error) {
-        return MakeError(id, std::string("compile failed: ") + error.what());
-      }
       response.Add("compile_seconds",
                    JsonValue::MakeNumber(SecondsSince(compile_start)));
+      const api::CompileResult& compiled = lookup.compile;
       if (compiled.outcome != api::Outcome::kExact) {
         // The budget stopped the trace; the partial circuit is unusable.
         // Answer each vector with a governed direct count instead — the
@@ -533,9 +526,6 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
                      JsonValue::MakeNumber(SecondsSince(start)));
         return response;
       }
-      query = std::make_shared<const api::CompiledQuery>(
-          std::move(*compiled.compiled));
-      CacheInsert(key, query);
     }
     response.Add("cached", JsonValue::MakeBool(cached));
     response.Add("kind",
@@ -600,15 +590,8 @@ io::JsonValue Server::HandleStats(const io::JsonValue* id) const {
 }
 
 io::JsonValue Server::HandleMetrics(const io::JsonValue* id) const {
-  // Refresh the cache-level gauges so a scrape on an idle server still
-  // reflects the live LRU (they are otherwise updated per cache
-  // operation).
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    m_.circuits->Set(static_cast<std::int64_t>(lru_.size()));
-    m_.circuit_bytes->Set(static_cast<std::int64_t>(cache_bytes_));
-    m_.circuit_bytes_peak->Set(static_cast<std::int64_t>(cache_bytes_peak_));
-  }
+  // The cache-level gauges are current: the cache sets them on every
+  // change of level.
   JsonValue json = JsonValue::MakeObject();
   if (id != nullptr) json.Add("id", *id);
   json.Add("status", JsonValue::MakeString("ok"));
@@ -620,68 +603,15 @@ ServerStats Server::Stats() const {
   ServerStats stats;
   stats.requests = m_.requests->Value();
   stats.errors = m_.errors->Value();
-  stats.cache_hits = m_.cache_hits->Value();
-  stats.cache_misses = m_.cache_misses->Value();
-  stats.evictions = m_.evictions->Value();
-  stats.evicted_bytes = m_.evicted_bytes->Value();
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  stats.circuits = lru_.size();
-  stats.circuit_bytes = cache_bytes_;
-  stats.circuit_bytes_peak = cache_bytes_peak_;
+  stats.cache_hits = m_.cache.hits->Value();
+  stats.cache_misses = m_.cache.misses->Value();
+  stats.evictions = m_.cache.evictions->Value();
+  stats.evicted_bytes = m_.cache.evicted_bytes->Value();
+  api::CircuitCache::Levels levels = circuits_.levels();
+  stats.circuits = levels.circuits;
+  stats.circuit_bytes = levels.bytes;
+  stats.circuit_bytes_peak = levels.bytes_peak;
   return stats;
-}
-
-std::shared_ptr<const api::CompiledQuery> Server::CacheLookup(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    m_.cache_misses->Add();
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  m_.cache_hits->Add();
-  return it->second->query;
-}
-
-void Server::CacheInsert(const std::string& key,
-                         std::shared_ptr<const api::CompiledQuery> query) {
-  std::size_t bytes =
-      query->MemoryBytes() + key.capacity() + kCacheEntryOverheadBytes;
-  if (options_.max_circuits == 0 || bytes > options_.max_circuit_bytes) {
-    // Serving an oversized circuit is fine; pinning the whole cache to it
-    // is not (ComponentCache applies the same rule to giant entries).
-    return;
-  }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    // A concurrent request compiled the same key first; keep the fresher
-    // entry and refresh its LRU position.
-    cache_bytes_ -= it->second->bytes;
-    it->second->query = std::move(query);
-    it->second->bytes = bytes;
-    cache_bytes_ += bytes;
-    lru_.splice(lru_.begin(), lru_, it->second);
-  } else {
-    lru_.push_front(CacheEntry{key, std::move(query), bytes});
-    index_[key] = lru_.begin();
-    cache_bytes_ += bytes;
-  }
-  if (cache_bytes_ > cache_bytes_peak_) cache_bytes_peak_ = cache_bytes_;
-  while (lru_.size() > options_.max_circuits ||
-         (lru_.size() > 1 && cache_bytes_ > options_.max_circuit_bytes)) {
-    CacheEntry& victim = lru_.back();
-    std::size_t victim_bytes = victim.bytes;
-    cache_bytes_ -= victim_bytes;
-    index_.erase(victim.key);
-    lru_.pop_back();
-    m_.evictions->Add();
-    m_.evicted_bytes->Add(victim_bytes);
-  }
-  m_.circuits->Set(static_cast<std::int64_t>(lru_.size()));
-  m_.circuit_bytes->Set(static_cast<std::int64_t>(cache_bytes_));
-  m_.circuit_bytes_peak->Set(static_cast<std::int64_t>(cache_bytes_peak_));
 }
 
 std::unique_ptr<nnf::Circuit::EvalArena> Server::AcquireArena() {

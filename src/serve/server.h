@@ -4,13 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "api/engine.h"
@@ -28,12 +25,10 @@ struct ServerOptions {
   /// Worker threads for fanning a request's weight vectors out over the
   /// compiled circuit (1 = sequential, 0 = one per hardware thread).
   unsigned num_threads = 1;
-  /// Bounds of the compiled-circuit LRU: entry count and resident bytes
-  /// (CompiledQuery::MemoryBytes plus key/bookkeeping overhead). A
-  /// circuit bigger than the whole byte bound on its own is served but
-  /// not cached, mirroring ComponentCache's policy.
-  std::size_t max_circuits = 64;
-  std::size_t max_circuit_bytes = std::size_t{256} << 20;  // 256 MiB
+  /// Bounds of the server's api::CircuitCache: entry count and resident
+  /// bytes (64 and 256 MiB by default).
+  std::size_t max_circuits = api::CircuitCache::kDefaultMaxCircuits;
+  std::size_t max_circuit_bytes = api::CircuitCache::kDefaultMaxBytes;
   /// Longest accepted request line; longer lines get a per-request error
   /// response instead of an unbounded parse.
   std::size_t max_request_bytes = std::size_t{1} << 20;  // 1 MiB
@@ -55,7 +50,7 @@ struct ServerStats {
   std::uint64_t evictions = 0;
   /// Cumulative bytes accounted to evicted entries.
   std::uint64_t evicted_bytes = 0;
-  std::size_t circuits = 0;       // entries resident in the LRU
+  std::size_t circuits = 0;       // entries resident in the cache
   std::size_t circuit_bytes = 0;  // bytes accounted to those entries
   /// High-water mark of circuit_bytes over the server's lifetime.
   std::size_t circuit_bytes_peak = 0;
@@ -64,14 +59,14 @@ struct ServerStats {
 /// A long-lived batching WFOMC server: newline-delimited JSON requests
 /// in, one-line JSON responses out. Each query names a sentence, a
 /// domain size, and one or more weight vectors; the server compiles the
-/// sentence once, keeps the circuit in a bounded LRU, and answers every
-/// weight vector with a linear circuit pass — the compile-once-
-/// evaluate-many amortization that makes warm queries orders of
-/// magnitude cheaper than a cold `swfomc run`. Liftable FO² sentences
-/// compile into a domain-parametric lifted circuit cached under the
-/// canonical sentence alone, so requests at *different* domain sizes
-/// share one entry; everything else compiles into a fixed-n d-DNNF
-/// keyed on (sentence, domain size).
+/// sentence once, keeps the circuit in one server-wide api::CircuitCache,
+/// and answers every weight vector with a linear circuit pass — the
+/// compile-once-evaluate-many amortization that makes warm queries
+/// orders of magnitude cheaper than a cold `swfomc run`. Liftable FO²
+/// sentences compile into a domain-parametric lifted circuit keyed on
+/// the sentence and its relation signature alone, so requests at
+/// *different* domain sizes share one entry; everything else compiles
+/// into a fixed-n d-DNNF whose key adds the domain size.
 ///
 /// Request object (one per line; unknown fields are ignored):
 ///   {"cmd": "query",            -- default; also "stats", "quit",
@@ -99,9 +94,11 @@ struct ServerStats {
 /// Malformed lines yield an error *response* — the daemon never dies on
 /// bad input.
 ///
-/// HandleRequest is thread-safe: the circuit LRU and the evaluation-
+/// HandleRequest is thread-safe: the circuit cache and the evaluation-
 /// arena pool are mutex-guarded, and compilation runs outside the cache
 /// lock so a slow compile never blocks warm requests for other circuits.
+/// Each request parses, routes and compiles through its own api::Engine
+/// (a relation's arity is fixed per request, not per server).
 class Server {
  public:
   explicit Server(ServerOptions options = {});
@@ -148,12 +145,6 @@ class Server {
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
  private:
-  struct CacheEntry {
-    std::string key;
-    std::shared_ptr<const api::CompiledQuery> query;
-    std::size_t bytes = 0;
-  };
-
   /// One parsed weight vector: the reweights, or the error that made the
   /// vector unusable (reported per-result, not per-request).
   struct WeightVector {
@@ -165,14 +156,6 @@ class Server {
   io::JsonValue HandleStats(const io::JsonValue* id) const;
   io::JsonValue HandleMetrics(const io::JsonValue* id) const;
 
-  /// LRU probe; moves a hit to the front. Returns nullptr on a miss.
-  std::shared_ptr<const api::CompiledQuery> CacheLookup(
-      const std::string& key);
-  /// Inserts (or refreshes) a compiled circuit and evicts past either
-  /// bound. Oversized circuits are dropped, not inserted.
-  void CacheInsert(const std::string& key,
-                   std::shared_ptr<const api::CompiledQuery> query);
-
   /// Arena pool: one nnf::Circuit::EvalArena per concurrently evaluating
   /// thread, reused across requests so steady-state serving does not
   /// allocate scratch.
@@ -183,33 +166,24 @@ class Server {
 
   /// All server counters/gauges/histograms live here (ServerStats is a
   /// snapshot of these instruments plus the cache levels); declared
-  /// before pool_ so the pool's instruments outlive it.
+  /// before the pool and the cache so their instruments outlive them.
   mutable obs::MetricsRegistry registry_;
-  /// Instrument pointers resolved once in the constructor.
+  /// Instrument pointers resolved once, before the cache is built.
   struct Instruments {
     obs::Counter* requests = nullptr;
     obs::Counter* errors = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* evicted_bytes = nullptr;
-    obs::Gauge* circuits = nullptr;
-    obs::Gauge* circuit_bytes = nullptr;
-    obs::Gauge* circuit_bytes_peak = nullptr;
     obs::Gauge* inflight = nullptr;
     obs::Histogram* warm_usec = nullptr;
     obs::Histogram* cold_usec = nullptr;
     obs::Histogram* batch_size = nullptr;
+    api::CircuitCache::Metrics cache;  // counted by the cache itself
   };
+  static Instruments MakeInstruments(obs::MetricsRegistry* registry);
   Instruments m_;
 
   std::unique_ptr<runtime::ThreadPool> pool_;  // set when num_threads > 1
 
-  mutable std::mutex cache_mutex_;
-  std::list<CacheEntry> lru_;  // most recently used at the front
-  std::unordered_map<std::string, std::list<CacheEntry>::iterator> index_;
-  std::size_t cache_bytes_ = 0;
-  std::size_t cache_bytes_peak_ = 0;  // guarded by cache_mutex_
+  api::CircuitCache circuits_;
 
   std::mutex arena_mutex_;
   std::vector<std::unique_ptr<nnf::Circuit::EvalArena>> free_arenas_;

@@ -1,11 +1,17 @@
 // The Engine facade: routing, cross-method agreement, probability and
-// 0-1-law helpers.
+// 0-1-law helpers, the per-engine circuit cache, and per-point search
+// stats on grounded sweeps.
 
 #include "api/engine.h"
+
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "closedforms/closed_forms.h"
+#include "io/json.h"
 
 namespace swfomc::api {
 namespace {
@@ -163,6 +169,123 @@ TEST(EngineTest, AutoRoutingProducesSameValueAsExplicit) {
     Engine::Result result = engine.WFOMC(f, n);
     EXPECT_EQ(result.method, Method::kLiftedFO2);
     EXPECT_EQ(result.value.ToInteger(), closedforms::Table1FOMC(n)) << n;
+  }
+}
+
+TEST(EngineCircuitCacheTest, NewRelationChangesTheCachedCount) {
+  // A relation the sentence does not mention still multiplies the count,
+  // so a circuit cached before the vocabulary grew must not answer after.
+  Engine engine{logic::Vocabulary{}};
+  logic::Formula f = engine.Parse("forall x exists y S(x,y)");
+  EXPECT_EQ(engine.WFOMC(f, 3).value, BigRational(343));
+  engine.Parse("exists x U(x)");
+  engine.mutable_vocabulary()->SetWeights(engine.vocabulary().Require("U"),
+                                          BigRational(2), BigRational(1));
+  Engine fresh{engine.vocabulary()};
+  BigRational expected = fresh.WFOMC(f, 3).value;
+  EXPECT_EQ(expected, BigRational(9261));
+  EXPECT_EQ(engine.WFOMC(f, 3).value, expected);
+  EXPECT_EQ(engine.circuit_cache().levels().circuits, 2u);
+}
+
+TEST(EngineCircuitCacheTest, InterleavedCallsMatchFreshEngines) {
+  // FOMC and Mu swap in unit weights around a cached circuit compiled
+  // under other weights; every answer must equal a fresh engine's.
+  Engine engine{logic::Vocabulary{}};
+  logic::Formula f = engine.Parse("forall x exists y (R(x,y) & T(y))");
+  engine.mutable_vocabulary()->SetWeights(engine.vocabulary().Require("R"),
+                                          BigRational::Fraction(3, 2),
+                                          BigRational(2));
+  engine.mutable_vocabulary()->SetWeights(engine.vocabulary().Require("T"),
+                                          BigRational(5),
+                                          BigRational::Fraction(1, 3));
+  for (std::uint64_t n = 1; n <= 4; ++n) {
+    SCOPED_TRACE(n);
+    auto fresh = [&] { return Engine{engine.vocabulary()}; };
+    EXPECT_EQ(engine.FOMC(f, n), fresh().FOMC(f, n));
+    EXPECT_EQ(engine.WFOMC(f, n).value, fresh().WFOMC(f, n).value);
+    EXPECT_EQ(engine.Mu(f, n), fresh().Mu(f, n));
+    EXPECT_EQ(engine.Probability(f, n), fresh().Probability(f, n));
+  }
+  EXPECT_EQ(engine.circuit_cache().levels().circuits, 1u);
+}
+
+TEST(EngineCircuitCacheTest, DomainZeroNeverCompiles) {
+  Engine engine{logic::Vocabulary{}};
+  logic::Formula f = engine.Parse("forall x exists y S(x,y)");
+  EXPECT_EQ(engine.WFOMC(f, 0).value, BigRational(1));
+  EXPECT_EQ(engine.WFOMCSweep(f, 0, 0).points.at(0).value, BigRational(1));
+  EXPECT_EQ(engine.circuit_cache().levels().circuits, 0u);
+  EXPECT_EQ(engine.WFOMC(f, 1).value, BigRational(1));
+  EXPECT_EQ(engine.circuit_cache().levels().circuits, 1u);
+}
+
+TEST(EngineCircuitCacheTest, OneQueryPerCallAndNoNestedCompileSpan) {
+  obs::MetricsRegistry metrics;
+  std::ostringstream out;
+  obs::TraceLog trace(&out);
+  Engine::Options options;
+  options.metrics = &metrics;
+  options.trace = &trace;
+  Engine engine{logic::Vocabulary{}, options};
+  logic::Formula f = engine.Parse("forall x exists y S(x,y)");
+  obs::Counter* queries = metrics.GetCounter("swfomc_engine_queries_total");
+  auto added = [&, last = queries->Value()]() mutable {
+    std::uint64_t now = queries->Value();
+    std::uint64_t delta = now - last;
+    last = now;
+    return delta;
+  };
+  engine.WFOMC(f, 3);  // miss: compiles
+  EXPECT_EQ(added(), 1u);
+  engine.WFOMC(f, 4);  // hit
+  EXPECT_EQ(added(), 1u);
+  engine.FOMC(f, 3);
+  EXPECT_EQ(added(), 1u);
+  engine.Probability(f, 3);
+  EXPECT_EQ(added(), 1u);
+  engine.Mu(f, 3);
+  EXPECT_EQ(added(), 1u);
+  engine.WFOMCSweep(f, 1, 3);
+  EXPECT_EQ(added(), 1u);
+
+  std::istringstream lines(out.str());
+  std::vector<std::string> names;
+  for (std::string line; std::getline(lines, line);) {
+    names.push_back(io::ParseJson(line, "<trace>").At("name").string);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"wfomc", "wfomc", "wfomc",
+                                             "wfomc", "wfomc",
+                                             "wfomc_sweep"}));
+}
+
+TEST(EngineSweepStatsTest, PerPointDecisionsSumToTheRegistryDelta) {
+  for (unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    obs::MetricsRegistry metrics;
+    std::ostringstream out;
+    obs::TraceLog trace(&out);
+    Engine::Options options;
+    options.num_threads = threads;
+    options.metrics = &metrics;
+    options.trace = &trace;
+    Engine engine{logic::Vocabulary{}, options};
+    logic::Formula triangle = engine.Parse(
+        "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))");
+    obs::Counter* decisions =
+        metrics.GetCounter("swfomc_dpll_decisions_total");
+    std::uint64_t before = decisions->Value();
+    Engine::SweepResult sweep = engine.WFOMCSweep(triangle, 2, 3);
+    std::uint64_t summed = 0;
+    for (const Engine::SweepPoint& point : sweep.points) {
+      ASSERT_TRUE(point.grounded_stats.has_value()) << point.domain_size;
+      summed += point.grounded_stats->decisions;
+    }
+    EXPECT_GT(summed, 0u);
+    EXPECT_EQ(summed, decisions->Value() - before);
+    io::JsonValue span = io::ParseJson(out.str(), "<trace>");
+    EXPECT_EQ(span.At("name").string, "wfomc_sweep");
+    EXPECT_EQ(span.At("decisions").string, std::to_string(summed));
   }
 }
 

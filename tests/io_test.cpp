@@ -512,8 +512,8 @@ TEST(Runner, SinglePointModelReportsStatsAndRoute) {
   ASSERT_EQ(report.points.size(), 1u);
   EXPECT_EQ(report.points[0].value, BigRational(463));
   EXPECT_TRUE(report.check_passed);
-  ASSERT_TRUE(report.grounded_stats.has_value());
-  EXPECT_GE(report.grounded_stats->decisions, 1u);
+  ASSERT_TRUE(report.points[0].grounded_stats.has_value());
+  EXPECT_GE(report.points[0].grounded_stats->decisions, 1u);
 
   JsonValue json = io::ToJson(report);
   EXPECT_EQ(json.At("method").string, "grounded");
